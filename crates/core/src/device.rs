@@ -278,6 +278,12 @@ pub struct RssdDevice<R: RemoteTarget> {
     next_segment_seq: u64,
     /// Device-RAM index of offloaded old versions per LPA (newest last).
     remote_index: HashMap<u64, Vec<RemoteVersion>>,
+    /// The evidence segment recovery opened last, with the envelope it was
+    /// opened from (see [`Self::preimage_in`]). At most one decoded segment.
+    opened: Option<(SegmentEnvelope, Segment)>,
+    /// Segments opened by recovery (memo misses).
+    #[cfg(test)]
+    segment_opens: u64,
     /// Last host read time per LPA (read-before-overwrite evidence).
     recent_reads: HashMap<u64, u64>,
     read_window_ns: u64,
@@ -361,6 +367,9 @@ impl<R: RemoteTarget> RssdDevice<R> {
             pending_retained: 0,
             next_segment_seq: 0,
             remote_index: HashMap::new(),
+            opened: None,
+            #[cfg(test)]
+            segment_opens: 0,
             recent_reads: HashMap::new(),
             read_window_ns: Self::READ_WINDOW_NS,
             latency: LatencyStats::new(),
@@ -440,6 +449,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         self.pending_retained = 0;
         self.recent_reads.clear();
         self.remote_index.clear();
+        self.opened = None;
         if !self.crashed {
             // A second crash() while already down destroys nothing further;
             // keep the report of the cut that did the damage.
@@ -952,25 +962,49 @@ impl<R: RemoteTarget> RssdDevice<R> {
                 // envelope (whether the segment is RAM-only or spilled to
                 // NAND) — open it locally, no remote involved.
                 let envelope = self.staged[queue_index].envelope.clone();
-                let segment = open_envelope(&self.session, &envelope).ok()?;
-                segment
-                    .records
-                    .into_iter()
-                    .find(|r| r.seq == record_seq)
-                    .and_then(|r| r.old_data)
+                self.preimage_in(envelope, record_seq)
             }
-            (_, Source::Remote(v)) => self.fetch_remote_version(v),
+            (_, Source::Remote(v)) => {
+                let envelope = self.remote.fetch_segment(v.segment_seq).ok()?;
+                self.preimage_in(envelope, v.record_seq)
+            }
         }
     }
 
-    fn fetch_remote_version(&mut self, v: RemoteVersion) -> Option<Vec<u8>> {
-        let envelope = self.remote.fetch_segment(v.segment_seq).ok()?;
-        let segment = open_envelope(&self.session, &envelope).ok()?;
+    /// The pre-image record `record_seq` carries inside `envelope`.
+    ///
+    /// Opening a segment (MAC check, decrypt, decompress, parse ~50
+    /// records) costs far more than extracting one page from it, and
+    /// recoveries tend to walk many pages of the same segment in a row. So
+    /// the last opened segment is kept and reused when `envelope` has the
+    /// same wire image: opening identical sealed bytes with the device's
+    /// one session is a pure function of those bytes. The caller fetches
+    /// `envelope` afresh every time, so an unreachable, missing or
+    /// tampered remote answers exactly as if nothing were kept.
+    fn preimage_in(&mut self, envelope: SegmentEnvelope, record_seq: u64) -> Option<Vec<u8>> {
+        let hit = self.opened.as_ref().is_some_and(|(memo, _)| {
+            let (a, b) = (memo.wire(), envelope.wire());
+            // The store hands out refcount clones of one buffer; the memo
+            // keeps that buffer alive, so an equal pointer and length mean
+            // the same immutable bytes. Anything else is compared in full.
+            (a.as_ptr() == b.as_ptr() && a.len() == b.len()) || a == b
+        });
+        if !hit {
+            // Drop the old segment first: never two decoded at once.
+            self.opened = None;
+            let segment = open_envelope(&self.session, &envelope).ok()?;
+            #[cfg(test)]
+            {
+                self.segment_opens += 1;
+            }
+            self.opened = Some((envelope, segment));
+        }
+        let (_, segment) = self.opened.as_ref()?;
         segment
             .records
-            .into_iter()
-            .find(|r| r.seq == v.record_seq)
-            .and_then(|r| r.old_data)
+            .iter()
+            .find(|r| r.seq == record_seq)
+            .and_then(|r| r.old_data.clone())
     }
 
     fn log_operation(
@@ -2010,6 +2044,158 @@ mod tests {
         // i=36 overwrite shipped it before the flush); the 0xAA/0xBB
         // pre-images were pending-only and died with the RAM.
         assert_eq!(d.recover_page(0).unwrap(), page(32));
+    }
+
+    /// Two versions of lpas `0..n`, shipped: every lpa's newest pre-image
+    /// (its first version) lives in the remote store.
+    fn overwrite_and_ship<R: RemoteTarget>(d: &mut RssdDevice<R>, n: u64) {
+        for round in 1..=2u8 {
+            for lpa in 0..n {
+                d.write_page(lpa, page(round * 16 + lpa as u8)).unwrap();
+            }
+        }
+        d.flush_log().unwrap();
+        assert!(d.remote().stored_segments().len() > 1);
+    }
+
+    /// The remote segment holding `lpa`'s newest pre-image.
+    fn segment_of<R: RemoteTarget>(d: &RssdDevice<R>, lpa: u64) -> u64 {
+        d.remote_index[&lpa].last().unwrap().segment_seq
+    }
+
+    #[test]
+    fn recovery_opens_each_segment_once_per_run_of_pages() {
+        let mut d = device();
+        overwrite_and_ship(&mut d, 24);
+        // In lpa order the pre-images run through the segments in chain
+        // order: one open per segment, however many pages it holds.
+        let mut segments: Vec<u64> = (0..24).map(|lpa| segment_of(&d, lpa)).collect();
+        for lpa in 0..24u64 {
+            assert_eq!(d.recover_page(lpa).unwrap(), page(16 + lpa as u8));
+        }
+        segments.dedup();
+        assert!(segments.len() < 24, "segments hold several pre-images");
+        assert_eq!(d.segment_opens, segments.len() as u64);
+        let opens = d.segment_opens;
+        assert_eq!(d.recover_page(23).unwrap(), page(16 + 23));
+        assert_eq!(d.segment_opens, opens, "same wire image, no reopen");
+        // Alternating between two segments reopens on every switch.
+        let (a, b) = (0, 23);
+        assert_ne!(segment_of(&d, a), segment_of(&d, b));
+        for _ in 0..3 {
+            assert_eq!(d.recover_page(a).unwrap(), page(16));
+            assert_eq!(d.recover_page(b).unwrap(), page(16 + 23));
+        }
+        assert_eq!(d.segment_opens, opens + 6);
+    }
+
+    /// A loopback store whose stored segments can be tampered in place.
+    struct TamperableStore {
+        inner: LoopbackTarget,
+        tampered: HashMap<u64, SegmentEnvelope>,
+    }
+
+    impl TamperableStore {
+        /// Flips one byte of segment `seq`'s sealed payload.
+        fn tamper(&mut self, seq: u64) {
+            let clean = self.inner.fetch_segment(seq).unwrap();
+            let mut payload = clean.sealed_payload().to_vec();
+            payload[0] ^= 0xFF;
+            let envelope = SegmentEnvelope::new(
+                clean.device_id(),
+                clean.segment_seq(),
+                clean.prev_chain_head(),
+                clean.chain_head(),
+                clean.record_count(),
+                &payload,
+            );
+            self.tampered.insert(seq, envelope);
+        }
+    }
+
+    impl RemoteTarget for TamperableStore {
+        fn store_segment(
+            &mut self,
+            envelope: SegmentEnvelope,
+            now_ns: u64,
+        ) -> Result<crate::remote_target::StoreAck, RemoteError> {
+            self.inner.store_segment(envelope, now_ns)
+        }
+
+        fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError> {
+            match self.tampered.get(&segment_seq) {
+                Some(envelope) => Ok(envelope.clone()),
+                None => self.inner.fetch_segment(segment_seq),
+            }
+        }
+
+        fn stored_segments(&self) -> Vec<u64> {
+            self.inner.stored_segments()
+        }
+    }
+
+    #[test]
+    fn tampering_after_a_recovery_is_not_masked_by_the_opened_segment() {
+        let mut d = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig {
+                segment_pages: 8,
+                ..RssdConfig::default()
+            },
+            TamperableStore {
+                inner: LoopbackTarget::new(),
+                tampered: HashMap::new(),
+            },
+        );
+        overwrite_and_ship(&mut d, 16);
+        let (a, b) = (0, 1);
+        let seq = segment_of(&d, a);
+        assert_eq!(segment_of(&d, b), seq);
+        assert_eq!(d.recover_page(a).unwrap(), page(16));
+        d.remote_mut().tamper(seq);
+        assert_eq!(d.recover_page(b), None, "tampered segment must not open");
+        assert_eq!(d.recover_page(a), None);
+        // Other segments are untouched.
+        assert_eq!(d.recover_page(15).unwrap(), page(16 + 15));
+    }
+
+    #[test]
+    fn dark_uplink_fails_recovery_even_for_the_opened_segment() {
+        let mut d = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig {
+                segment_pages: 8,
+                ..RssdConfig::default()
+            },
+            crate::WireRemote::new(LoopbackTarget::new(), rssd_net::LinkConfig::ideal()),
+        );
+        overwrite_and_ship(&mut d, 16);
+        let (a, b) = (0, 1);
+        assert_eq!(segment_of(&d, a), segment_of(&d, b));
+        assert_eq!(d.recover_page(a).unwrap(), page(16));
+        d.remote_mut().set_uplink_down(true);
+        assert_eq!(d.recover_page(b), None, "no fetch, no recovery");
+        assert_eq!(d.recover_page(a), None);
+        d.remote_mut().set_uplink_down(false);
+        assert_eq!(d.recover_page(b).unwrap(), page(17));
+    }
+
+    #[test]
+    fn recovery_after_crash_matches_recovery_before() {
+        let mut d = device();
+        overwrite_and_ship(&mut d, 24);
+        let before: Vec<_> = (0..24).map(|lpa| d.recover_page(lpa)).collect();
+        assert!(before.iter().all(Option::is_some));
+        let _ = d.crash();
+        assert!(d.opened.is_none(), "the opened segment lived in device RAM");
+        assert_eq!(d.recover_page(0), None);
+        let _ = d.recover().unwrap();
+        let after: Vec<_> = (0..24).map(|lpa| d.recover_page(lpa)).collect();
+        assert_eq!(before, after);
     }
 
     #[test]

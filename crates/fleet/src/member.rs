@@ -46,7 +46,10 @@ const READ_WINDOW_NS: u64 = 600 * 1_000_000_000;
 /// Device ids leave room for array shards: member m's shard s gets
 /// `m * DEVICE_ID_STRIDE + s`.
 const DEVICE_ID_STRIDE: u64 = 16;
-/// Interruptions tolerated before a member run is declared stuck.
+/// Interruptions that issue no record, tolerated before a member run is
+/// declared stuck. An interruption that issues records moves the replay
+/// forward, so it never counts: a dead array shard refuses every later
+/// record aimed at it, one interruption each.
 const MAX_INTERRUPTIONS: u64 = 32;
 
 /// A member run failed in a way the harness cannot absorb.
@@ -347,6 +350,7 @@ fn run_on<D: FaultTarget>(
     let mut replay = ReplayStats::default();
     let mut queues = QueuePairStats::default();
     let mut interruptions = 0u64;
+    let mut no_progress = 0u64;
     let mut remaining = records;
     loop {
         let outcome = {
@@ -378,10 +382,13 @@ fn run_on<D: FaultTarget>(
                         ],
                     );
                 }
-                if interruptions > MAX_INTERRUPTIONS {
+                if aborted.resume_index() == 0 {
+                    no_progress += 1;
+                }
+                if no_progress > MAX_INTERRUPTIONS {
                     return Err(FleetError {
                         member,
-                        detail: format!("stuck after {interruptions} interruptions"),
+                        detail: format!("stuck after {no_progress} interruptions without progress"),
                     });
                 }
                 match error {
@@ -753,6 +760,33 @@ mod tests {
         // A healthy wire never degrades past Buffering (transient staging
         // between seal and ack).
         assert!(a.metrics.gauge("offload.health.max").unwrap() <= 1.0);
+    }
+
+    #[test]
+    fn faulted_array_member_rides_out_a_dead_shard() {
+        // Once the schedule kills a shard, every later record aimed at it
+        // aborts the replay. Each abort issues records, so none of them
+        // may count toward the stuck guard.
+        let cfg = FleetConfig {
+            members: 32,
+            seed: 4,
+            array_every: 8,
+            array_shards: 3,
+            fault_fraction: 0.1,
+            compromised_fraction: 0.25,
+            outage_fraction: 0.1,
+            link: rssd_net::LinkConfig::datacenter_10g(),
+            ..FleetConfig::default()
+        };
+        let id = 15;
+        assert!(matches!(cfg.member_kind(id), MemberKind::Array { .. }));
+        assert!(cfg.member_faulted(id));
+        let outcome = run_member(&cfg, id).expect("a dead shard must not stall the member");
+        assert!(
+            outcome.scorecard.interruptions > MAX_INTERRUPTIONS,
+            "every refusal is still reported: {}",
+            outcome.scorecard.interruptions
+        );
     }
 
     #[test]
