@@ -85,7 +85,7 @@ struct WireRun {
 
 /// Runs the workload over `link` and scores it against `golden`, the
 /// direct-path device that ran the same workload.
-fn run_wire(link: LinkConfig, golden: &mut RssdDevice<LoopbackTarget>) -> WireRun {
+fn wire_run(link: LinkConfig, golden: &mut RssdDevice<LoopbackTarget>) -> WireRun {
     let mut device = wired_device(link);
     run_workload(&mut device);
     device.flush_log().expect("flush retention log");
@@ -158,7 +158,7 @@ fn print_sweep() {
     let mut rows = Vec::new();
     let mut by_name = std::collections::HashMap::new();
     for (name, link) in configs {
-        let run = run_wire(link, &mut golden);
+        let run = wire_run(link, &mut golden);
         println!(
             "{:<14} {:>12.1} {:>10.1} {:>11.2} {:>9.0} {:>8.0} {:>9}",
             name,

@@ -250,7 +250,7 @@ impl Segment {
 /// Backed by its own canonical wire image — one reference-counted buffer
 /// `[84-byte header | sealed payload]` built exactly once at seal time.
 /// Construction *is* serialization: [`SegmentEnvelope::to_wire_bytes`] and
-/// `clone()` are refcount bumps, and [`SegmentEnvelope::from_wire_bytes`]
+/// `clone()` are refcount bumps, and [`SegmentEnvelope::from_wire_image`]
 /// adopts a received buffer without copying. Field reads decode from the
 /// header in place (a few little-endian loads).
 #[derive(Clone, PartialEq, Eq)]
@@ -315,20 +315,14 @@ impl SegmentEnvelope {
     }
 
     /// Adopts a fully assembled wire image (header + sealed payload) without
-    /// copying. Returns `None` if shorter than the header.
-    pub fn from_wire_image(wire: impl Into<Bytes>) -> Option<SegmentEnvelope> {
-        let wire = wire.into();
-        (wire.len() >= Self::WIRE_HEADER).then_some(SegmentEnvelope { wire })
-    }
-
-    /// Decodes the canonical wire encoding — an alias of
-    /// [`SegmentEnvelope::from_wire_image`], kept for the receive-path
-    /// reading: `None` if `data` is shorter than
+    /// copying — the one decoder for both the seal path and the receive
+    /// path. Returns `None` if shorter than
     /// [`SegmentEnvelope::WIRE_HEADER`]. The sealed payload is *not*
     /// authenticated here — tampering is caught by the secure session's MAC
     /// when the payload is opened.
-    pub fn from_wire_bytes(data: impl Into<Bytes>) -> Option<SegmentEnvelope> {
-        Self::from_wire_image(data)
+    pub fn from_wire_image(wire: impl Into<Bytes>) -> Option<SegmentEnvelope> {
+        let wire = wire.into();
+        (wire.len() >= Self::WIRE_HEADER).then_some(SegmentEnvelope { wire })
     }
 
     /// Originating device.
@@ -525,7 +519,7 @@ mod tests {
         assert_eq!(envelope.sealed_payload(), &[1, 2, 3, 4, 5]);
         let wire = envelope.to_wire_bytes();
         assert_eq!(wire.len(), envelope.wire_bytes());
-        assert_eq!(SegmentEnvelope::from_wire_bytes(wire).unwrap(), envelope);
+        assert_eq!(SegmentEnvelope::from_wire_image(wire).unwrap(), envelope);
     }
 
     #[test]
@@ -574,7 +568,7 @@ mod tests {
     #[test]
     fn envelope_wire_rejects_short_input() {
         assert!(
-            SegmentEnvelope::from_wire_bytes(&[0u8; SegmentEnvelope::WIRE_HEADER - 1][..])
+            SegmentEnvelope::from_wire_image(&[0u8; SegmentEnvelope::WIRE_HEADER - 1][..])
                 .is_none()
         );
         let empty = SegmentEnvelope::new(
@@ -586,7 +580,7 @@ mod tests {
             &[],
         );
         // A header with no payload is the minimum valid envelope.
-        let decoded = SegmentEnvelope::from_wire_bytes(empty.to_wire_bytes()).unwrap();
+        let decoded = SegmentEnvelope::from_wire_image(empty.to_wire_bytes()).unwrap();
         assert!(decoded.sealed_payload().is_empty());
     }
 }

@@ -12,15 +12,20 @@
 //! the device's `SecureSession` before it got here; the wire never carries
 //! plaintext log data.
 //!
-//! Network faults are expressed as *link conditions*, not injected results:
+//! Network faults are expressed as *link conditions*, not injected results.
+//! This is the only fault-capable remote: the scenario matrix and the fleet
+//! express every partition mode through it.
 //!
 //! * [`WireRemote::set_uplink_down`] blackholes frames; the transport
 //!   exhausts its stall budget and the offload engine sees
-//!   [`RemoteError::Unreachable`] — exactly what `FaultyRemote`'s `Refuse`
-//!   mode used to fake.
+//!   [`RemoteError::Unreachable`] (the matrix's `Refuse` mode).
 //! * With [`WireRemote::set_store_and_forward`], a down link instead acks
 //!   and buffers at the edge; [`WireRemote::heal`] replays the buffer over
-//!   the restored wire in order (`QueueForReplay`).
+//!   the restored wire in order (`QueueForReplay`). While the relay is on
+//!   and the uplink is down, a store is acked at the edge *without* first
+//!   attempting the transfer: a doomed attempt would stamp frames up to a
+//!   stall budget into the future and then ack at the original time,
+//!   rewinding the uplink's simulated clock for the next segment.
 //! * [`WireRemote::set_ingest_drop`] models a collector that acknowledges
 //!   the transfer but loses the segment before durability
 //!   (`DropSilently`) — the chain gap surfaces only at
@@ -36,9 +41,8 @@ use rssd_net::{LinkConfig, NvmeOeEndpoint, SharedLink, TransferStats};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Wire-level fault/outcome counters, mirroring `RemoteFaultStats` so the
-/// scenario matrix can score wire-expressed faults with the same
-/// invariants.
+/// Wire-level fault/outcome counters — what the scenario matrix scores
+/// for wire-expressed faults.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[must_use]
 pub struct WireRemoteStats {
@@ -52,6 +56,16 @@ pub struct WireRemoteStats {
     /// Envelopes the collector acked in transport but lost before
     /// durability.
     pub ingest_dropped: u64,
+}
+
+impl WireRemoteStats {
+    /// Merges another remote's counters (fleet view across array members).
+    pub fn merge(&mut self, other: &WireRemoteStats) {
+        self.transfers_refused += other.transfers_refused;
+        self.relay_acked += other.relay_acked;
+        self.relay_replayed += other.relay_replayed;
+        self.ingest_dropped += other.ingest_dropped;
+    }
 }
 
 /// A [`RemoteTarget`] whose every segment crosses the simulated NVMe-oE
@@ -212,7 +226,7 @@ impl<R: RemoteTarget> WireRemote<R> {
                 self.max_stall_rounds,
             )
             .map_err(|_| RemoteError::Unreachable)?;
-        let delivered = SegmentEnvelope::from_wire_bytes(delivered)
+        let delivered = SegmentEnvelope::from_wire_image(delivered)
             .expect("reliable fabric delivers the encoded envelope intact");
         if self.ingest_drop {
             // The transport acked; the collector lost the segment before
@@ -235,7 +249,15 @@ impl<R: RemoteTarget> RemoteTarget for WireRemote<R> {
         now_ns: u64,
     ) -> Result<StoreAck, RemoteError> {
         let segment_seq = envelope.segment_seq();
-        match self.transfer_and_store(&envelope, now_ns) {
+        let outcome = if self.relay_enabled && self.is_uplink_down() {
+            // A known-dark uplink with the relay on: skip the doomed
+            // transfer, whose frames would be stamped up to a stall budget
+            // past the edge ack below and rewind the uplink's clock.
+            Err(RemoteError::Unreachable)
+        } else {
+            self.transfer_and_store(&envelope, now_ns)
+        };
+        match outcome {
             Ok(ack) => Ok(ack),
             Err(RemoteError::Unreachable) if self.relay_enabled => {
                 // Edge relay: ack now (by move — no clone), deliver after
@@ -389,6 +411,50 @@ mod tests {
             wired.transfer_stats().segments >= 3,
             "replay went over the real wire"
         );
+    }
+
+    #[test]
+    fn relayed_store_skips_the_dark_wire_and_keeps_uplink_time_monotone() {
+        let sink = rssd_obs::SinkHandle::recording();
+        let mut wired = WireRemote::new(LoopbackTarget::new(), LinkConfig::lossy(2));
+        wired.set_trace_sink(sink.clone());
+        let envs = chain(5);
+        // Live, lossy transfers first, so the uplink track has history.
+        let mut now = 0;
+        for env in &envs[..2] {
+            now = wired.store_segment(env.clone(), now).unwrap().durable_at_ns;
+        }
+        assert!(!sink.is_empty(), "lossy transfers traced their losses");
+
+        wired.set_uplink_down(true);
+        wired.set_store_and_forward(true);
+        let before = (sink.len(), wired.uplink().frames_offered());
+        for env in &envs[2..4] {
+            let ack = wired.store_segment(env.clone(), now).unwrap();
+            assert_eq!(ack.durable_at_ns, now, "edge ack at the store time");
+            now += 1;
+        }
+        assert_eq!(
+            (sink.len(), wired.uplink().frames_offered()),
+            before,
+            "a relayed store puts nothing on the dark wire"
+        );
+        assert_eq!(wired.stats().relay_acked, 2);
+        let mut last = 0;
+        for event in sink.take_events() {
+            assert!(
+                event.sim_ns >= last,
+                "uplink time regressed: {} {} after {last}",
+                event.name,
+                event.sim_ns
+            );
+            last = event.sim_ns;
+        }
+
+        // The healed wire delivers the buffer, then live traffic resumes.
+        assert_eq!(wired.heal(), 2);
+        wired.store_segment(envs[4].clone(), now).unwrap();
+        assert_eq!(wired.inner().stored_segments(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

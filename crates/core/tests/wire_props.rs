@@ -123,6 +123,54 @@ proptest! {
         prop_assert_eq!(Segment::from_bytes(&decompressed).unwrap(), segment);
     }
 
+    /// The receive path is total: any bytes adopted as an envelope either
+    /// fail to decode, fail to open, or open to a segment — never panic.
+    #[test]
+    fn envelope_receive_path_is_total(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        seed in any::<u64>(),
+    ) {
+        let session = SecureSession::new(&DeviceKeys::for_simulation(seed), 0);
+        let _ = receive(&session, bytes);
+    }
+
+    /// A sealed envelope with one bit flipped or its tail cut off never
+    /// opens to different records: payload, tag and sequence-number damage
+    /// fail the MAC, a cut header fails the decode, and the only flips
+    /// that still open are in routing fields the records do not depend on.
+    #[test]
+    fn corrupted_envelopes_never_open_to_different_records(
+        records in proptest::collection::vec(arb_record(), 0..8),
+        seed in any::<u64>(),
+        at in any::<usize>(),
+        bit in any::<u8>(),
+        truncate in any::<bool>(),
+    ) {
+        let session = SecureSession::new(&DeviceKeys::for_simulation(seed), 0);
+        let mut chain = HashChain::new(b"prop-key");
+        let links: Vec<ChainLink> =
+            records.iter().map(|r| chain.append(&r.chain_bytes())).collect();
+        let record_count = records.len() as u32;
+        let segment = Segment { segment_seq: 3, records, links };
+        let compressed = rssd_compress::compress_adaptive(&segment.to_bytes());
+        let sealed = session.seal(3, &compressed);
+        let envelope =
+            SegmentEnvelope::new(9, 3, Digest::ZERO, chain.head(), record_count, &sealed);
+        let mut wire = envelope.to_wire_bytes().to_vec();
+        prop_assert_eq!(receive(&session, wire.clone()), Some(segment.clone()));
+
+        let at = at % wire.len();
+        if truncate {
+            wire.truncate(at);
+            prop_assert_eq!(receive(&session, wire), None, "a torn envelope opened");
+        } else {
+            wire[at] ^= 1 << (bit % 8);
+            if let Some(opened) = receive(&session, wire) {
+                prop_assert_eq!(opened, segment, "a flipped bit changed the records");
+            }
+        }
+    }
+
     #[test]
     fn truncated_records_always_rejected(record in arb_record()) {
         let bytes = record.to_bytes();
@@ -136,6 +184,24 @@ proptest! {
                 LogRecord::from_bytes(&bytes[..cut]).unwrap().1 < bytes.len());
         }
     }
+}
+
+/// The device's receive path for one fetched envelope: adopt the wire
+/// image, read its routing header, open the sealed payload, decompress and
+/// decode the segment.
+fn receive(session: &SecureSession, wire: Vec<u8>) -> Option<Segment> {
+    let envelope = SegmentEnvelope::from_wire_image(wire)?;
+    let _ = (
+        envelope.device_id(),
+        envelope.prev_chain_head(),
+        envelope.chain_head(),
+        envelope.record_count(),
+    );
+    let opened = session
+        .open(envelope.segment_seq(), envelope.sealed_payload())
+        .ok()?;
+    let raw = rssd_compress::decompress(&opened).ok()?;
+    Segment::from_bytes(&raw).ok()
 }
 
 #[test]

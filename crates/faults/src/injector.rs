@@ -15,10 +15,10 @@
 //! harnesses, the attack actors and `RssdArray` unchanged — faults are a
 //! wrapper, never a special code path in the device.
 
-use crate::remote::{PartitionMode, RemoteFaultStats};
+use crate::remote::PartitionMode;
 use crate::schedule::{FaultEvent, FaultSchedule};
 use crate::target::{FaultError, FaultTarget, PowerRestoreReport};
-use rssd_core::{HistoryAudit, OffloadStats};
+use rssd_core::{HistoryAudit, OffloadStats, WireRemoteStats};
 use rssd_flash::SimClock;
 use rssd_obs::SinkHandle;
 use rssd_ssd::{BlockDevice, CommandResult, DeviceError, IoCommand};
@@ -350,8 +350,8 @@ impl<D: FaultTarget> FaultTarget for FaultInjector<D> {
         self.inner.latency_totals()
     }
 
-    fn remote_fault_totals(&self) -> RemoteFaultStats {
-        self.inner.remote_fault_totals()
+    fn wire_totals(&self) -> WireRemoteStats {
+        self.inner.wire_totals()
     }
 
     fn arm_schedule(&mut self, schedule: &FaultSchedule) -> bool {
@@ -384,14 +384,18 @@ impl<D: FaultTarget> FaultTarget for FaultInjector<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::remote::FaultyRemote;
     use crate::target::scenario_member;
-    use rssd_core::{LoopbackTarget, RssdDevice};
+    use rssd_core::{LoopbackTarget, RssdDevice, WireRemote};
+    use rssd_net::LinkConfig;
 
-    type Dut = RssdDevice<FaultyRemote<LoopbackTarget>>;
+    type Dut = RssdDevice<WireRemote<LoopbackTarget>>;
 
     fn dut() -> Dut {
-        scenario_member(1)
+        scenario_member(
+            1,
+            WireRemote::new(LoopbackTarget::new(), LinkConfig::ideal()),
+            false,
+        )
     }
 
     fn page(b: u8) -> Vec<u8> {

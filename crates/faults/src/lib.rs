@@ -14,16 +14,20 @@
 //!   wrapper that executes a schedule, so faults compose under the NVMe
 //!   controller, the replay harnesses, the attack actors and `RssdArray`
 //!   unchanged.
-//! * [`FaultyRemote`] / [`PermissiveTarget`] ([`remote`]) — network-fault
-//!   wrappers for the remote half of the codesign.
-//! * [`FaultTarget`] ([`target`]) — the fault surface of a device under
-//!   test (crash/recover, partition/heal, kill/revive, chain audit),
-//!   implemented for bare devices and arrays, faulted or direct.
+//! * [`PartitionMode`] / [`PermissiveTarget`] ([`remote`]) — the remote
+//!   half of the codesign: partition modes, which the NVMe-oE
+//!   [`WireRemote`](rssd_core::WireRemote) expresses as link conditions
+//!   (blackout, edge relay, collector drop), and a collector without the
+//!   ingest continuity check.
+//! * [`FaultTarget`] / [`FaultRemote`] ([`target`]) — the fault surface of
+//!   a device under test (crash/recover, partition/heal, kill/revive, chain
+//!   audit), implemented for bare devices and arrays over the wire or over
+//!   a direct loopback store.
 //! * [`ScenarioMatrix`] ([`scenario`]) — composes workload profile ×
 //!   attack actor × fault schedule × topology into named cells, runs each
-//!   under a seed, and scores every cell ([`Scorecard`]): detection
-//!   true/false positives, point-in-time recovery fraction, data-loss
-//!   bytes, and the evidence-chain verdict.
+//!   under a seed on the NVMe-oE wire, and scores every cell
+//!   ([`Scorecard`]): detection true/false positives, point-in-time
+//!   recovery fraction, data-loss bytes, and the evidence-chain verdict.
 //!
 //! The invariants the matrix enforces (see DESIGN.md §6):
 //!
@@ -46,15 +50,12 @@ pub mod schedule;
 pub mod target;
 
 pub use injector::{FaultInjector, TornBatch};
-pub use remote::{FaultyRemote, PartitionMode, PermissiveTarget, RemoteFaultStats};
+pub use remote::{PartitionMode, PermissiveTarget};
 pub use scenario::{
     ActorKind, FaultPlan, MatrixSummary, Scenario, ScenarioMatrix, Scorecard, Topology,
 };
 pub use schedule::{FaultEvent, FaultSchedule};
-pub use target::{
-    scenario_member, scenario_member_durable, scenario_member_durable_with, scenario_member_with,
-    FaultError, FaultRemote, FaultTarget, PowerRestoreReport,
-};
+pub use target::{scenario_member, FaultError, FaultRemote, FaultTarget, PowerRestoreReport};
 
 // Re-exported so scorecard consumers can match verdicts without another dep.
 pub use rssd_detect::Verdict;

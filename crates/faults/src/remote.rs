@@ -1,16 +1,19 @@
-//! Network-fault wrappers for the remote half of the codesign.
+//! The remote half of the fault matrix: partition modes and the
+//! permissive collector.
 //!
-//! [`FaultyRemote`] wraps any [`RemoteTarget`] and injects partition
-//! windows in three modes:
+//! Network faults happen on the NVMe-oE link, so the only fault-capable
+//! remote is [`WireRemote`](rssd_core::WireRemote); each [`PartitionMode`]
+//! is a link condition there (see the
+//! [`FaultRemote`](crate::FaultRemote) impl):
 //!
 //! * [`Refuse`](PartitionMode::Refuse) — offloads fail visibly
 //!   (`RemoteError::Unreachable`); the device keeps data pinned locally.
 //!   This is the conservative fallback the device already handles.
 //! * [`QueueForReplay`](PartitionMode::QueueForReplay) — a store-and-
-//!   forward transport: offloads are acknowledged and buffered device-side,
+//!   forward edge relay: offloads are acknowledged and buffered device-side,
 //!   then replayed *in order* into the real store when the link heals.
 //! * [`DropSilently`](PartitionMode::DropSilently) — the worst case: the
-//!   transport acknowledges and then loses the segment. The device unpins
+//!   collector acknowledges and then loses the segment. The device unpins
 //!   data it believes durable. The defense is that the loss can never be
 //!   *silent* downstream — the evidence chain has a gap that
 //!   `verified_history`, `audit_history` and `RebuildImage::harvest` all
@@ -40,176 +43,6 @@ pub enum PartitionMode {
     DropSilently,
 }
 
-/// Counters describing what a [`FaultyRemote`] did to the offload stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[must_use]
-pub struct RemoteFaultStats {
-    /// Offloads refused with `Unreachable` during `Refuse` windows.
-    pub offloads_refused: u64,
-    /// Offloads acked into the replay buffer during `QueueForReplay`.
-    pub offloads_queued: u64,
-    /// Buffered offloads delivered in order on heal.
-    pub offloads_replayed: u64,
-    /// Offloads acked and destroyed during `DropSilently` windows.
-    pub offloads_dropped: u64,
-}
-
-impl RemoteFaultStats {
-    /// Merges another wrapper's counters (fleet view across array members).
-    pub fn merge(&mut self, other: &RemoteFaultStats) {
-        self.offloads_refused += other.offloads_refused;
-        self.offloads_queued += other.offloads_queued;
-        self.offloads_replayed += other.offloads_replayed;
-        self.offloads_dropped += other.offloads_dropped;
-    }
-}
-
-/// A [`RemoteTarget`] wrapper that injects partition windows. Composes
-/// under [`RssdDevice`](rssd_core::RssdDevice) unchanged: the device's
-/// offload engine sees ordinary acks and errors.
-#[derive(Clone, Debug)]
-pub struct FaultyRemote<R: RemoteTarget> {
-    inner: R,
-    mode: Option<PartitionMode>,
-    /// Segments acked during a `QueueForReplay` window, in arrival order.
-    queued: Vec<(SegmentEnvelope, u64)>,
-    stats: RemoteFaultStats,
-}
-
-impl<R: RemoteTarget> FaultyRemote<R> {
-    /// Wraps `inner` with no partition active.
-    pub fn new(inner: R) -> Self {
-        FaultyRemote {
-            inner,
-            mode: None,
-            queued: Vec::new(),
-            stats: RemoteFaultStats::default(),
-        }
-    }
-
-    /// Starts (or switches) a partition window.
-    pub fn partition(&mut self, mode: PartitionMode) {
-        self.mode = Some(mode);
-    }
-
-    /// `true` while a partition window is open.
-    pub fn is_partitioned(&self) -> bool {
-        self.mode.is_some()
-    }
-
-    /// Heals the link: buffered offloads are replayed into the inner store
-    /// in arrival order. Returns how many were delivered. If the inner
-    /// store refuses one (it cannot, for in-order replay against an honest
-    /// store), the remainder stays buffered and visible via
-    /// [`stored_segments`](RemoteTarget::stored_segments).
-    pub fn heal(&mut self) -> u64 {
-        self.mode = None;
-        let mut replayed = 0u64;
-        while !self.queued.is_empty() {
-            let (envelope, now_ns) = self.queued.remove(0);
-            // Envelope clones are refcount bumps on the shared wire image.
-            match self.inner.store_segment(envelope.clone(), now_ns) {
-                Ok(_) => {
-                    replayed += 1;
-                    self.stats.offloads_replayed += 1;
-                }
-                Err(_) => {
-                    self.queued.insert(0, (envelope, now_ns));
-                    break;
-                }
-            }
-        }
-        replayed
-    }
-
-    /// Injection counters.
-    pub fn fault_stats(&self) -> RemoteFaultStats {
-        self.stats
-    }
-
-    /// Offloads currently buffered awaiting heal.
-    pub fn queued_segments(&self) -> usize {
-        self.queued.len()
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped store (tamper injection in tests).
-    pub fn inner_mut(&mut self) -> &mut R {
-        &mut self.inner
-    }
-}
-
-impl<R: RemoteTarget> RemoteTarget for FaultyRemote<R> {
-    fn store_segment(
-        &mut self,
-        envelope: SegmentEnvelope,
-        now_ns: u64,
-    ) -> Result<StoreAck, RemoteError> {
-        match self.mode {
-            None => self.inner.store_segment(envelope, now_ns),
-            Some(PartitionMode::Refuse) => {
-                self.stats.offloads_refused += 1;
-                Err(RemoteError::Unreachable)
-            }
-            Some(PartitionMode::QueueForReplay) => {
-                let ack = StoreAck {
-                    segment_seq: envelope.segment_seq(),
-                    durable_at_ns: now_ns,
-                };
-                self.stats.offloads_queued += 1;
-                self.queued.push((envelope, now_ns));
-                Ok(ack)
-            }
-            Some(PartitionMode::DropSilently) => {
-                self.stats.offloads_dropped += 1;
-                Ok(StoreAck {
-                    segment_seq: envelope.segment_seq(),
-                    durable_at_ns: now_ns,
-                })
-            }
-        }
-    }
-
-    fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError> {
-        if self.mode.is_some() {
-            // The link is down: only the device-side replay buffer is
-            // reachable.
-            return self
-                .queued
-                .iter()
-                .find(|(e, _)| e.segment_seq() == segment_seq)
-                .map(|(e, _)| e.clone())
-                .ok_or(RemoteError::Unreachable);
-        }
-        if let Some((e, _)) = self
-            .queued
-            .iter()
-            .find(|(e, _)| e.segment_seq() == segment_seq)
-        {
-            return Ok(e.clone());
-        }
-        self.inner.fetch_segment(segment_seq)
-    }
-
-    fn stored_segments(&self) -> Vec<u64> {
-        // The device's view of what it has been acked for: the store's
-        // contents plus the replay buffer.
-        let mut seqs = self.inner.stored_segments();
-        seqs.extend(self.queued.iter().map(|(e, _)| e.segment_seq()));
-        seqs.sort_unstable();
-        seqs.dedup();
-        seqs
-    }
-
-    fn set_trace_sink(&mut self, sink: rssd_obs::SinkHandle) {
-        self.inner.set_trace_sink(sink);
-    }
-}
-
 /// A remote store **without** the chain-continuity ingest check — a naive
 /// collector that accepts whatever arrives. Gaps and forks are caught at
 /// verification time (`verified_history` / `RebuildImage::harvest`), which
@@ -217,21 +50,12 @@ impl<R: RemoteTarget> RemoteTarget for FaultyRemote<R> {
 #[derive(Clone, Debug, Default)]
 pub struct PermissiveTarget {
     segments: BTreeMap<u64, SegmentEnvelope>,
-    reachable: bool,
 }
 
 impl PermissiveTarget {
-    /// Creates an empty, reachable store.
+    /// Creates an empty store.
     pub fn new() -> Self {
-        PermissiveTarget {
-            segments: BTreeMap::new(),
-            reachable: true,
-        }
-    }
-
-    /// Simulates plain unreachability (independent of [`FaultyRemote`]).
-    pub fn set_reachable(&mut self, reachable: bool) {
-        self.reachable = reachable;
+        PermissiveTarget::default()
     }
 }
 
@@ -241,9 +65,6 @@ impl RemoteTarget for PermissiveTarget {
         envelope: SegmentEnvelope,
         now_ns: u64,
     ) -> Result<StoreAck, RemoteError> {
-        if !self.reachable {
-            return Err(RemoteError::Unreachable);
-        }
         let ack = StoreAck {
             segment_seq: envelope.segment_seq(),
             durable_at_ns: now_ns,
@@ -267,7 +88,6 @@ impl RemoteTarget for PermissiveTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rssd_core::LoopbackTarget;
     use rssd_crypto::Digest;
 
     fn envelope(seq: u64, prev: u8, head: u8) -> SegmentEnvelope {
@@ -287,70 +107,11 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_when_healthy() {
-        let mut r = FaultyRemote::new(LoopbackTarget::new());
-        r.store_segment(envelope(0, 0, 1), 10).unwrap();
-        assert_eq!(r.stored_segments(), vec![0]);
-        assert_eq!(r.fetch_segment(0).unwrap().segment_seq(), 0);
-    }
-
-    #[test]
-    fn refuse_mode_surfaces_unreachable() {
-        let mut r = FaultyRemote::new(LoopbackTarget::new());
-        r.partition(PartitionMode::Refuse);
-        assert_eq!(
-            r.store_segment(envelope(0, 0, 1), 0),
-            Err(RemoteError::Unreachable)
-        );
-        assert_eq!(r.fault_stats().offloads_refused, 1);
-    }
-
-    #[test]
-    fn queue_mode_acks_buffers_and_replays_in_order() {
-        let mut r = FaultyRemote::new(LoopbackTarget::new());
-        r.store_segment(envelope(0, 0, 1), 0).unwrap();
-        r.partition(PartitionMode::QueueForReplay);
-        r.store_segment(envelope(1, 1, 2), 5).unwrap();
-        r.store_segment(envelope(2, 2, 3), 6).unwrap();
-        // Acked → visible in the device's index; fetchable from the buffer.
-        assert_eq!(r.stored_segments(), vec![0, 1, 2]);
-        assert_eq!(r.fetch_segment(2).unwrap().segment_seq(), 2);
-        // The store itself has not seen them.
-        assert_eq!(r.inner().stored_segments(), vec![0]);
-        // Old segments are across the dead link.
-        assert_eq!(r.fetch_segment(0), Err(RemoteError::Unreachable));
-
-        assert_eq!(r.heal(), 2);
-        assert_eq!(r.inner().stored_segments(), vec![0, 1, 2]);
-        assert_eq!(r.queued_segments(), 0);
-        assert_eq!(r.fault_stats().offloads_replayed, 2);
-    }
-
-    #[test]
-    fn drop_mode_acks_and_destroys() {
-        let mut r = FaultyRemote::new(PermissiveTarget::new());
-        r.store_segment(envelope(0, 0, 1), 0).unwrap();
-        r.partition(PartitionMode::DropSilently);
-        r.store_segment(envelope(1, 1, 2), 0).unwrap();
-        r.heal();
-        r.store_segment(envelope(2, 2, 3), 0).unwrap();
-        // Segment 1 is gone; 0 and 2 stored — the chain now has a hole that
-        // verification (not ingest) must catch.
-        assert_eq!(r.stored_segments(), vec![0, 2]);
-        assert_eq!(r.fault_stats().offloads_dropped, 1);
-    }
-
-    #[test]
     fn permissive_store_accepts_discontinuity() {
         let mut p = PermissiveTarget::new();
         p.store_segment(envelope(0, 0, 1), 0).unwrap();
         // A gap the LoopbackTarget would refuse.
         p.store_segment(envelope(5, 9, 10), 0).unwrap();
         assert_eq!(p.stored_segments(), vec![0, 5]);
-        p.set_reachable(false);
-        assert_eq!(
-            p.store_segment(envelope(6, 10, 11), 0),
-            Err(RemoteError::Unreachable)
-        );
     }
 }

@@ -23,22 +23,23 @@
 //!    of every victim page, data-loss accounting, and the evidence-chain
 //!    verdict.
 //!
-//! The same generic runner also drives an injector-free device over plain
-//! [`LoopbackTarget`]s ([`run_direct`](Scenario::run_direct)) — the
-//! pre-existing happy path — which is what pins the harness: a `none`
-//! schedule must produce a byte-identical scorecard in both pipelines.
+//! Cells run on the NVMe-oE wire ([`Scenario::run_on`]): every member
+//! offloads through a [`WireRemote`]<[`PermissiveTarget`]>, so the cell's
+//! partition plan is a link blackout or a collector drop, never an
+//! injected result. The same generic runner also drives an injector-free
+//! device over plain [`LoopbackTarget`]s
+//! ([`run_direct`](Scenario::run_direct)) — the pre-existing happy path —
+//! which is what pins the harness: a `none` schedule must produce a
+//! byte-identical scorecard in both pipelines.
 
 use crate::injector::FaultInjector;
-use crate::remote::{FaultyRemote, PartitionMode, PermissiveTarget};
+use crate::remote::{PartitionMode, PermissiveTarget};
 use crate::schedule::{FaultEvent, FaultSchedule};
-use crate::target::{
-    scenario_member, scenario_member_durable, scenario_member_durable_with, scenario_member_with,
-    FaultError, FaultRemote, FaultTarget,
-};
+use crate::target::{scenario_member, FaultError, FaultTarget};
 use rssd_array::RssdArray;
 use rssd_attacks::{ClassicRansomware, FileTable, GcAttack, TimingAttack, TrimAttack};
 use rssd_bench::BenchRow;
-use rssd_core::{LoopbackTarget, PostAttackAnalyzer, RssdDevice, WireRemote};
+use rssd_core::{LoopbackTarget, PostAttackAnalyzer, WireRemote};
 use rssd_detect::Verdict;
 use rssd_flash::SimClock;
 use rssd_net::{LinkConfig, SharedLink};
@@ -85,8 +86,8 @@ pub enum Topology {
     /// A striped array whose members all offload through **one shared
     /// NVMe-oE uplink** to a common remote: N devices funnel into a single
     /// wire, so concurrent offloads queue behind each other's serialization
-    /// time. Only runnable through the wire pipeline
-    /// ([`Scenario::run_wire`] / [`Scenario::run`]).
+    /// time. Not runnable through [`Scenario::run_direct`], which has no
+    /// wire.
     SharedUplink {
         /// Member count.
         shards: usize,
@@ -118,6 +119,16 @@ impl Topology {
         match self {
             Topology::Array { shards, .. } | Topology::SharedUplink { shards, .. } => *shards,
             _ => 1,
+        }
+    }
+
+    /// The link [`Scenario::run`] gives this topology's uplinks: a shared
+    /// uplink is a real 10 GbE wire (contention is what it measures);
+    /// every other topology offloads over an ideal, zero-time link.
+    pub fn link(&self) -> LinkConfig {
+        match self {
+            Topology::SharedUplink { .. } => LinkConfig::datacenter_10g(),
+            _ => LinkConfig::ideal(),
         }
     }
 }
@@ -280,15 +291,6 @@ impl FaultPlan {
     }
 }
 
-/// Builds one cell member honoring the plan's durability requirement.
-fn plan_member<R: FaultRemote>(plan: FaultPlan, device_id: u64) -> RssdDevice<R> {
-    if plan.needs_spill() {
-        scenario_member_durable(device_id)
-    } else {
-        scenario_member(device_id)
-    }
-}
-
 /// One cell of the scenario matrix.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -316,130 +318,63 @@ impl Scenario {
         )
     }
 
-    /// Runs the cell through the fault pipeline: members over
-    /// [`FaultyRemote`]<[`PermissiveTarget`]> wrapped in a
-    /// [`FaultInjector`].
+    /// Runs the cell on its topology's [`link`](Topology::link), untraced.
     ///
     /// # Errors
     ///
     /// [`FaultError`] when the harness itself cannot proceed (never for a
     /// fault the schedule injected — those are scored, not errored).
     pub fn run(&self) -> Result<Scorecard, FaultError> {
-        self.run_traced(SinkHandle::disabled())
+        self.run_on(self.topology.link(), SinkHandle::disabled())
     }
 
-    /// [`Scenario::run`] with a trace sink installed across the whole cell
-    /// stack (NAND, FTL, offload engine, fault injector, detection
-    /// verdict). With a disabled sink this *is* `run()`; with a recording
-    /// one the scorecard is byte-identical — sink identity is not
-    /// simulation state, which the determinism proptests pin.
-    pub fn run_traced(&self, sink: SinkHandle) -> Result<Scorecard, FaultError> {
-        type Remote = FaultyRemote<PermissiveTarget>;
-        match self.topology {
-            Topology::Bare | Topology::MultiQueue { .. } => {
-                let device: RssdDevice<Remote> = plan_member(self.plan, 1);
-                run_cell_traced(
-                    FaultInjector::new(device, &FaultSchedule::none()),
-                    self,
-                    sink,
-                )
-            }
-            Topology::Array {
-                shards,
-                stripe_pages,
-            } => {
-                let members: Vec<RssdDevice<Remote>> = (0..shards as u64)
-                    .map(|i| plan_member(self.plan, i))
-                    .collect();
-                let array = RssdArray::new(members, stripe_pages, SimClock::new());
-                run_cell_traced(
-                    FaultInjector::new(array, &FaultSchedule::none()),
-                    self,
-                    sink,
-                )
-            }
-            // A shared uplink only exists on the wire.
-            Topology::SharedUplink { .. } => {
-                self.run_wire_traced(LinkConfig::datacenter_10g(), sink)
-            }
-        }
-    }
-
-    /// Runs the cell through the **wire pipeline**: members over
+    /// Runs the cell through the fault pipeline over `link`: members over
     /// [`WireRemote`]<[`PermissiveTarget`]> wrapped in a [`FaultInjector`],
     /// so every offloaded segment crosses the simulated NVMe-oE fabric with
     /// `link`'s bandwidth/propagation/loss, and the cell's partition plan
-    /// becomes link blackouts and collector drops instead of injected
-    /// results. [`Topology::SharedUplink`] members offload through clones
-    /// of one [`SharedLink`]; other topologies get private uplinks.
+    /// becomes link blackouts and collector drops. [`Topology::SharedUplink`]
+    /// members offload through clones of one [`SharedLink`]; other
+    /// topologies get private uplinks.
     ///
-    /// With [`LinkConfig::ideal`] this pipeline is byte-identical to
-    /// [`Scenario::run`] for fault-free cells — the equivalence suite's
-    /// anchor.
+    /// `sink` is installed across the whole cell stack (NAND, FTL, offload
+    /// engine, wire, fault injector, detection verdict). A recording sink
+    /// leaves the scorecard byte-identical — sink identity is not
+    /// simulation state, which the determinism proptests pin.
     ///
     /// # Errors
     ///
     /// [`FaultError`] when the harness itself cannot proceed (never for a
     /// fault the schedule injected — those are scored, not errored).
-    pub fn run_wire(&self, link: LinkConfig) -> Result<Scorecard, FaultError> {
-        self.run_wire_traced(link, SinkHandle::disabled())
-    }
-
-    /// [`Scenario::run_wire`] with a trace sink; the wire pipeline
-    /// additionally records link-loss and retransmission instants from the
-    /// NVMe-oE fabric.
-    pub fn run_wire_traced(
-        &self,
-        link: LinkConfig,
-        sink: SinkHandle,
-    ) -> Result<Scorecard, FaultError> {
-        type Remote = WireRemote<PermissiveTarget>;
+    pub fn run_on(&self, link: LinkConfig, sink: SinkHandle) -> Result<Scorecard, FaultError> {
         let durable = self.plan.needs_spill();
-        let member = move |id: u64, remote: Remote| {
-            if durable {
-                scenario_member_durable_with(id, remote)
-            } else {
-                scenario_member_with(id, remote)
-            }
+        let shared =
+            matches!(self.topology, Topology::SharedUplink { .. }).then(|| SharedLink::new(link));
+        let member = |id: u64| {
+            let remote = match &shared {
+                Some(uplink) => {
+                    WireRemote::with_uplink(PermissiveTarget::new(), uplink.clone(), link)
+                }
+                None => WireRemote::new(PermissiveTarget::new(), link),
+            };
+            scenario_member(id, remote, durable)
         };
         match self.topology {
-            Topology::Bare | Topology::MultiQueue { .. } => {
-                let device = member(1, WireRemote::new(PermissiveTarget::new(), link));
-                run_cell_traced(
-                    FaultInjector::new(device, &FaultSchedule::none()),
-                    self,
-                    sink,
-                )
-            }
+            Topology::Bare | Topology::MultiQueue { .. } => run_cell(
+                FaultInjector::new(member(1), &FaultSchedule::none()),
+                self,
+                sink,
+            ),
             Topology::Array {
                 shards,
                 stripe_pages,
-            } => {
-                let members: Vec<RssdDevice<Remote>> = (0..shards as u64)
-                    .map(|i| member(i, WireRemote::new(PermissiveTarget::new(), link)))
-                    .collect();
-                let array = RssdArray::new(members, stripe_pages, SimClock::new());
-                run_cell_traced(
-                    FaultInjector::new(array, &FaultSchedule::none()),
-                    self,
-                    sink,
-                )
             }
-            Topology::SharedUplink {
+            | Topology::SharedUplink {
                 shards,
                 stripe_pages,
             } => {
-                let uplink = SharedLink::new(link);
-                let members: Vec<RssdDevice<Remote>> = (0..shards as u64)
-                    .map(|i| {
-                        member(
-                            i,
-                            WireRemote::with_uplink(PermissiveTarget::new(), uplink.clone(), link),
-                        )
-                    })
-                    .collect();
+                let members = (0..shards as u64).map(member).collect();
                 let array = RssdArray::new(members, stripe_pages, SimClock::new());
-                run_cell_traced(
+                run_cell(
                     FaultInjector::new(array, &FaultSchedule::none()),
                     self,
                     sink,
@@ -458,30 +393,25 @@ impl Scenario {
     /// [`FaultError::Scenario`] when the cell has a fault plan, or any
     /// harness failure.
     pub fn run_direct(&self) -> Result<Scorecard, FaultError> {
-        if self.plan != FaultPlan::None {
-            return Err(FaultError::Scenario(
-                "the direct pipeline cannot inject faults; use run()".to_string(),
-            ));
-        }
-        if matches!(self.topology, Topology::SharedUplink { .. }) {
-            return Err(FaultError::Scenario(
-                "a shared uplink only exists on the wire; use run_wire()".to_string(),
-            ));
-        }
+        let direct_member = |id| scenario_member(id, LoopbackTarget::new(), false);
         match self.topology {
+            _ if self.plan != FaultPlan::None => Err(FaultError::Scenario(
+                "the direct pipeline cannot inject faults; use run()".to_string(),
+            )),
             Topology::Bare | Topology::MultiQueue { .. } => {
-                let device: RssdDevice<LoopbackTarget> = scenario_member(1);
-                run_cell(device, self)
+                run_cell(direct_member(1), self, SinkHandle::disabled())
             }
             Topology::Array {
                 shards,
                 stripe_pages,
             } => {
-                let members: Vec<RssdDevice<LoopbackTarget>> =
-                    (0..shards as u64).map(scenario_member).collect();
-                run_cell(RssdArray::new(members, stripe_pages, SimClock::new()), self)
+                let members = (0..shards as u64).map(direct_member).collect();
+                let array = RssdArray::new(members, stripe_pages, SimClock::new());
+                run_cell(array, self, SinkHandle::disabled())
             }
-            Topology::SharedUplink { .. } => unreachable!("rejected above"),
+            Topology::SharedUplink { .. } => Err(FaultError::Scenario(
+                "a shared uplink only exists on the wire; use run()".to_string(),
+            )),
         }
     }
 }
@@ -955,14 +885,9 @@ fn attack_once<D: FaultTarget>(
 }
 
 /// The generic cell runner — same code for the faulted and direct
-/// pipelines; only the device type differs.
-fn run_cell<D: FaultTarget>(device: D, scenario: &Scenario) -> Result<Scorecard, FaultError> {
-    run_cell_traced(device, scenario, SinkHandle::disabled())
-}
-
-/// [`run_cell`] with a trace sink installed on the device stack before the
-/// first command.
-fn run_cell_traced<D: FaultTarget>(
+/// pipelines; only the device type differs. `sink` is installed on the
+/// device stack before the first command.
+fn run_cell<D: FaultTarget>(
     mut device: D,
     scenario: &Scenario,
     sink: SinkHandle,
@@ -1100,7 +1025,7 @@ fn run_cell_traced<D: FaultTarget>(
     };
 
     let offload = device.offload_totals();
-    let remote_faults = device.remote_fault_totals();
+    let wire = device.wire_totals();
     let attacked = scenario.actor != ActorKind::None;
     Ok(Scorecard {
         cell: scenario.cell_id(),
@@ -1125,9 +1050,9 @@ fn run_cell_traced<D: FaultTarget>(
         offload_failures: offload.offload_failures,
         segments_spilled: offload.segments_spilled,
         spill_replayed: offload.spill_replayed,
-        offloads_queued: remote_faults.offloads_queued,
-        offloads_replayed: remote_faults.offloads_replayed,
-        offloads_dropped: remote_faults.offloads_dropped,
+        offloads_queued: wire.relay_acked,
+        offloads_replayed: wire.relay_replayed,
+        offloads_dropped: wire.ingest_dropped,
         skipped_events: device.skipped_event_count(),
     })
 }

@@ -6,16 +6,18 @@
 //! revive shards, audit its evidence chain, and answer point-in-time
 //! recovery queries. Implementations exist for a bare
 //! [`RssdDevice`] and for an [`RssdArray`] of them, over any remote that
-//! implements [`FaultRemote`] — which includes the plain
-//! [`LoopbackTarget`] (partitions unsupported, everything else works), so
-//! the *same generic harness* runs both the faulted and the direct
-//! ("existing behavior") configurations the differential tests compare.
+//! implements [`FaultRemote`]: the NVMe-oE [`WireRemote`], where every
+//! partition mode is a link condition, and the plain [`LoopbackTarget`]
+//! (only visible refusal, no wire), so the *same generic harness* runs both
+//! the faulted and the direct ("existing behavior") configurations the
+//! differential tests compare.
 
-use crate::remote::{FaultyRemote, PartitionMode, PermissiveTarget, RemoteFaultStats};
+use crate::remote::PartitionMode;
 use crate::schedule::FaultSchedule;
 use rssd_array::{ArrayError, RssdArray, ShardStatus};
 use rssd_core::{
     HistoryAudit, LoopbackTarget, OffloadStats, RemoteTarget, RssdConfig, RssdDevice, WireRemote,
+    WireRemoteStats,
 };
 use rssd_flash::{FlashGeometry, NandStats, NandTiming, SimClock};
 use rssd_ftl::FtlStats;
@@ -75,9 +77,9 @@ pub struct PowerRestoreReport {
 }
 
 /// A remote target the scenario harness knows how to construct and
-/// partition. [`FaultyRemote`] gives real windows; the plain stores
-/// implement the control surface as a no-op (`false`) so the same generic
-/// code drives the direct, wrapper-free configuration.
+/// partition. [`WireRemote`] expresses every mode as a link condition; the
+/// plain [`LoopbackTarget`] can only refuse, so the same generic code also
+/// drives the direct, wire-free configuration.
 pub trait FaultRemote: RemoteTarget + Sized {
     /// A fresh, empty store of this kind (replacement shards get one).
     fn fresh() -> Self;
@@ -89,9 +91,9 @@ pub trait FaultRemote: RemoteTarget + Sized {
     /// count.
     fn heal(&mut self) -> u64;
 
-    /// Injection counters (zero for plain stores).
-    fn fault_stats(&self) -> RemoteFaultStats {
-        RemoteFaultStats::default()
+    /// Wire fault/outcome counters (zero for stores without a wire).
+    fn wire_stats(&self) -> WireRemoteStats {
+        WireRemoteStats::default()
     }
 }
 
@@ -117,46 +119,6 @@ impl FaultRemote for LoopbackTarget {
     }
 }
 
-impl FaultRemote for PermissiveTarget {
-    fn fresh() -> Self {
-        PermissiveTarget::new()
-    }
-
-    fn set_partition(&mut self, mode: PartitionMode) -> bool {
-        match mode {
-            PartitionMode::Refuse => {
-                self.set_reachable(false);
-                true
-            }
-            PartitionMode::QueueForReplay | PartitionMode::DropSilently => false,
-        }
-    }
-
-    fn heal(&mut self) -> u64 {
-        self.set_reachable(true);
-        0
-    }
-}
-
-impl<R: RemoteTarget + FaultRemote> FaultRemote for FaultyRemote<R> {
-    fn fresh() -> Self {
-        FaultyRemote::new(R::fresh())
-    }
-
-    fn set_partition(&mut self, mode: PartitionMode) -> bool {
-        self.partition(mode);
-        true
-    }
-
-    fn heal(&mut self) -> u64 {
-        FaultyRemote::heal(self)
-    }
-
-    fn fault_stats(&self) -> RemoteFaultStats {
-        FaultyRemote::fault_stats(self)
-    }
-}
-
 /// The wire expression of the fault matrix: every [`PartitionMode`] maps
 /// onto a link condition of the NVMe-oE fabric instead of an injected
 /// result, so chain gaps and replay are emergent protocol behavior.
@@ -164,12 +126,16 @@ impl<R: RemoteTarget + FaultRemote> FaultRemote for FaultyRemote<R> {
 /// * `Refuse` → uplink blackout, no edge relay: transfers exhaust their
 ///   stall budget and surface `Unreachable`.
 /// * `QueueForReplay` → uplink blackout with a store-and-forward edge
-///   relay; heal replays the buffer over the restored wire.
+///   relay, which acks at the edge without touching the dark wire; heal
+///   replays the buffer over the restored wire.
 /// * `DropSilently` → the link is fine but the collector acks and loses
 ///   segments before durability.
-impl<R: RemoteTarget + FaultRemote> FaultRemote for WireRemote<R> {
+///
+/// A fresh remote (a replacement shard's) gets a private 10 GbE uplink: a
+/// replacement drive gets recabled, not spliced into the dead one's wire.
+impl<R: RemoteTarget + Default> FaultRemote for WireRemote<R> {
     fn fresh() -> Self {
-        WireRemote::new(R::fresh(), LinkConfig::datacenter_10g())
+        WireRemote::new(R::default(), LinkConfig::datacenter_10g())
     }
 
     fn set_partition(&mut self, mode: PartitionMode) -> bool {
@@ -191,81 +157,47 @@ impl<R: RemoteTarget + FaultRemote> FaultRemote for WireRemote<R> {
         WireRemote::heal(self)
     }
 
-    fn fault_stats(&self) -> RemoteFaultStats {
-        let s = self.stats();
-        RemoteFaultStats {
-            offloads_refused: s.transfers_refused,
-            offloads_queued: s.relay_acked,
-            offloads_replayed: s.relay_replayed,
-            offloads_dropped: s.ingest_dropped,
-        }
+    fn wire_stats(&self) -> WireRemoteStats {
+        self.stats()
     }
 }
 
-/// The geometry scenario members (and their replacements) are built with.
-pub(crate) const MEMBER_CAPACITY_BYTES: u64 = 4 * 1024 * 1024;
+/// The geometry scenario members are built with.
+const MEMBER_CAPACITY_BYTES: u64 = 4 * 1024 * 1024;
 
-/// The geometry of *durable* members (spill-enabled cells): one capacity
-/// step larger than [`MEMBER_CAPACITY_BYTES`] so the reserved spill blocks
-/// come out of extra flash, not out of the allocator pool the baseline
-/// members run their workloads in.
-pub(crate) const DURABLE_MEMBER_CAPACITY_BYTES: u64 = 8 * 1024 * 1024;
+/// The geometry of *durable* (spill-enabled) members.
+const DURABLE_MEMBER_CAPACITY_BYTES: u64 = 8 * 1024 * 1024;
 
 /// NAND blocks durable members reserve as an evidence-spill region.
-pub(crate) const MEMBER_SPILL_BLOCKS: u32 = 3;
+const MEMBER_SPILL_BLOCKS: u32 = 3;
 
-/// Builds one scenario member: a small RSSD on its own clock over a fresh
-/// remote of kind `R`. Used both by the harness to assemble topologies and
-/// by [`FaultTarget::revive_dead_shards`] to construct replacements, so the
-/// two always agree on geometry. The offload segment is kept small (4
-/// retained pages) so the window of pending, fault-vulnerable retention is
-/// tight — the scenario matrix measures exactly what that window costs.
-pub fn scenario_member<R: FaultRemote>(device_id: u64) -> RssdDevice<R> {
-    scenario_member_with(device_id, R::fresh())
-}
-
-/// [`scenario_member`] with an explicit, caller-built remote — used by the
-/// shared-uplink topology, where every member's [`WireRemote`] must be
-/// constructed over a clone of the *same* [`SharedLink`](rssd_net::SharedLink)
-/// so their offloads queue behind each other on one wire. Replacement
-/// shards built via [`FaultTarget::revive_dead_shards`] still use
-/// [`scenario_member`], i.e. a fresh private uplink: a replacement drive
-/// gets recabled, not spliced into the dead one's wire.
-pub fn scenario_member_with<R: RemoteTarget>(device_id: u64, remote: R) -> RssdDevice<R> {
-    RssdDevice::new(
-        FlashGeometry::with_capacity(MEMBER_CAPACITY_BYTES),
-        NandTiming::instant(),
-        SimClock::new(),
-        RssdConfig {
-            device_id,
-            segment_pages: 4,
-            ..RssdConfig::default()
-        },
-        remote,
-    )
-}
-
-/// A *durable* scenario member: same small segments as [`scenario_member`],
-/// plus an FTL-reserved evidence-spill region so sealed segments survive a
-/// power cut that lands inside a remote outage. Used by fault plans whose
-/// whole point is the outage × cut product ([`FaultPlan::needs_spill`]).
+/// Builds one scenario member: a small RSSD on its own clock over
+/// `remote`. Used by the harness to assemble topologies, by the fleet, and
+/// by [`FaultTarget::revive_dead_shards`] to construct replacements, so all
+/// agree on geometry. The offload segment is kept small (4 retained pages)
+/// so the window of pending, fault-vulnerable retention is tight — the
+/// scenario matrix measures exactly what that window costs.
 ///
-/// [`FaultPlan::needs_spill`]: crate::FaultPlan::needs_spill
-pub fn scenario_member_durable<R: FaultRemote>(device_id: u64) -> RssdDevice<R> {
-    scenario_member_durable_with(device_id, R::fresh())
-}
-
-/// [`scenario_member_durable`] with an explicit, caller-built remote (the
-/// shared-uplink analogue of [`scenario_member_with`]).
-pub fn scenario_member_durable_with<R: RemoteTarget>(device_id: u64, remote: R) -> RssdDevice<R> {
+/// A `durable` member additionally reserves an FTL evidence-spill region so
+/// sealed segments survive a power cut that lands inside a remote outage;
+/// it is built one capacity step larger so the spill blocks come out of
+/// extra flash, not out of the pool the workload runs in. Fault plans whose
+/// whole point is the outage × cut product ask for it
+/// ([`FaultPlan::needs_spill`](crate::FaultPlan::needs_spill)).
+pub fn scenario_member<R: RemoteTarget>(device_id: u64, remote: R, durable: bool) -> RssdDevice<R> {
+    let (capacity, spill_blocks) = if durable {
+        (DURABLE_MEMBER_CAPACITY_BYTES, MEMBER_SPILL_BLOCKS)
+    } else {
+        (MEMBER_CAPACITY_BYTES, 0)
+    };
     RssdDevice::new(
-        FlashGeometry::with_capacity(DURABLE_MEMBER_CAPACITY_BYTES),
+        FlashGeometry::with_capacity(capacity),
         NandTiming::instant(),
         SimClock::new(),
         RssdConfig {
             device_id,
             segment_pages: 4,
-            spill_blocks: MEMBER_SPILL_BLOCKS,
+            spill_blocks,
             ..RssdConfig::default()
         },
         remote,
@@ -333,9 +265,9 @@ pub trait FaultTarget: BlockDevice {
     /// Device-side latency distribution (fleet-merged for arrays).
     fn latency_totals(&self) -> LatencyStats;
 
-    /// Remote fault-injection counters (fleet-merged for arrays).
-    fn remote_fault_totals(&self) -> RemoteFaultStats {
-        RemoteFaultStats::default()
+    /// Wire fault/outcome counters (fleet-merged for arrays).
+    fn wire_totals(&self) -> WireRemoteStats {
+        WireRemoteStats::default()
     }
 
     /// Arms a fault schedule, when this target is (or wraps) a
@@ -425,8 +357,8 @@ impl<R: FaultRemote> FaultTarget for RssdDevice<R> {
         self.latency().clone()
     }
 
-    fn remote_fault_totals(&self) -> RemoteFaultStats {
-        self.remote().fault_stats()
+    fn wire_totals(&self) -> WireRemoteStats {
+        self.remote().wire_stats()
     }
 
     fn set_trace_sink(&mut self, sink: rssd_obs::SinkHandle) {
@@ -486,7 +418,13 @@ impl<R: FaultRemote> FaultTarget for RssdArray<RssdDevice<R>> {
             if self.shard_status(shard) != ShardStatus::Degraded {
                 continue;
             }
-            let replacement: RssdDevice<R> = scenario_member(1000 + shard as u64);
+            // A replacement must export what the dead shard did, so a
+            // spill-enabled array gets a durable (larger) member.
+            let device_id = 1000 + shard as u64;
+            let mut replacement = scenario_member(device_id, R::fresh(), false);
+            if replacement.logical_pages() < shard_pages {
+                replacement = scenario_member(device_id, R::fresh(), true);
+            }
             self.begin_rebuild(shard, replacement, restore_before_ns)
                 .map_err(FaultError::Array)?;
             loop {
@@ -557,11 +495,11 @@ impl<R: FaultRemote> FaultTarget for RssdArray<RssdDevice<R>> {
         self.latency()
     }
 
-    fn remote_fault_totals(&self) -> RemoteFaultStats {
-        let mut merged = RemoteFaultStats::default();
+    fn wire_totals(&self) -> WireRemoteStats {
+        let mut merged = WireRemoteStats::default();
         for shard in 0..self.shard_count() {
             if let Some(member) = self.shard(shard) {
-                merged.merge(&member.remote().fault_stats());
+                merged.merge(&member.remote().wire_stats());
             }
         }
         merged
@@ -577,6 +515,30 @@ impl<R: FaultRemote> FaultTarget for RssdArray<RssdDevice<R>> {
                     sink.with_track_prefix(&format!("shard{shard}/")),
                 );
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::remote::PermissiveTarget;
+
+    #[test]
+    fn revived_shard_keeps_the_dead_shards_durability() {
+        for durable in [false, true] {
+            let members = (0..3)
+                .map(|id| {
+                    let remote = WireRemote::new(PermissiveTarget::new(), LinkConfig::ideal());
+                    scenario_member(id, remote, durable)
+                })
+                .collect();
+            let mut array = RssdArray::new(members, 4, SimClock::new());
+            array.write_page(0, vec![7u8; array.page_size()]).unwrap();
+            array.kill_shard(0).unwrap();
+            assert_eq!(array.revive_dead_shards(None), Ok(1), "durable {durable}");
+            let revived = array.shard(0).expect("shard 0 is live again");
+            assert_eq!(revived.spill_capacity_bytes() > 0, durable);
         }
     }
 }

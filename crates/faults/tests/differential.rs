@@ -1,5 +1,5 @@
 //! Differential pinning: with the `none` fault schedule, the fault
-//! pipeline (FaultyRemote + FaultInjector) must be **byte-identical** to
+//! pipeline (WireRemote + FaultInjector) must be **byte-identical** to
 //! the direct, wrapper-free pipeline the repo already trusted — same
 //! detection verdicts, same recovery, same chain state, same scorecard
 //! JSON. Only once the wrappers are provably inert can their faults be

@@ -11,12 +11,18 @@
 //!   `audit_history`, `RebuildImage::harvest`) rather than silently
 //!   passing with a shorter history.
 
-use rssd_core::{RebuildImage, RemoteTarget, RssdDevice};
-use rssd_faults::{scenario_member, FaultyRemote, PartitionMode, PermissiveTarget};
+use rssd_core::{LoopbackTarget, RebuildImage, RemoteTarget, RssdDevice, WireRemote};
+use rssd_faults::{scenario_member, FaultRemote, PartitionMode, PermissiveTarget};
+use rssd_net::LinkConfig;
 use rssd_ssd::BlockDevice;
 
-type QueueDut = RssdDevice<FaultyRemote<rssd_core::LoopbackTarget>>;
-type DropDut = RssdDevice<FaultyRemote<PermissiveTarget>>;
+type QueueDut = RssdDevice<WireRemote<LoopbackTarget>>;
+type DropDut = RssdDevice<WireRemote<PermissiveTarget>>;
+
+/// A scenario member offloading over an ideal NVMe-oE link to `store`.
+fn dut<R: RemoteTarget>(store: R) -> RssdDevice<WireRemote<R>> {
+    scenario_member(1, WireRemote::new(store, LinkConfig::ideal()), false)
+}
 
 fn page(b: u8) -> Vec<u8> {
     vec![b; 4096]
@@ -33,7 +39,7 @@ fn churn<R: RemoteTarget>(d: &mut RssdDevice<R>, rounds: u8, lpas: u64) {
 
 #[test]
 fn queued_offloads_replay_in_order_on_heal() {
-    let mut d: QueueDut = scenario_member(1);
+    let mut d: QueueDut = dut(LoopbackTarget::new());
     churn(&mut d, 2, 16);
     d.flush_log().unwrap();
     let before_partition = d.remote().inner().stored_segments();
@@ -41,7 +47,7 @@ fn queued_offloads_replay_in_order_on_heal() {
 
     // Partition in queue mode; keep destroying data. Offloads are acked
     // (the device unpins) but only buffered.
-    d.remote_mut().partition(PartitionMode::QueueForReplay);
+    d.remote_mut().set_partition(PartitionMode::QueueForReplay);
     churn(&mut d, 2, 16);
     d.flush_log().unwrap();
     let queued = d.remote().queued_segments();
@@ -76,9 +82,9 @@ fn queued_offloads_replay_in_order_on_heal() {
 
 #[test]
 fn recovery_still_works_while_partitioned_from_queued_segments() {
-    let mut d: QueueDut = scenario_member(1);
+    let mut d: QueueDut = dut(LoopbackTarget::new());
     d.write_page(3, page(1)).unwrap();
-    d.remote_mut().partition(PartitionMode::QueueForReplay);
+    d.remote_mut().set_partition(PartitionMode::QueueForReplay);
     d.write_page(3, page(2)).unwrap();
     d.flush_log().unwrap(); // seals into the replay buffer
     assert!(d.remote().queued_segments() > 0);
@@ -88,14 +94,14 @@ fn recovery_still_works_while_partitioned_from_queued_segments() {
 
 #[test]
 fn dropped_offloads_surface_as_chain_gap_in_verified_history() {
-    let mut d: DropDut = scenario_member(1);
+    let mut d: DropDut = dut(PermissiveTarget::new());
     churn(&mut d, 2, 16);
     d.flush_log().unwrap();
 
-    d.remote_mut().partition(PartitionMode::DropSilently);
+    d.remote_mut().set_partition(PartitionMode::DropSilently);
     churn(&mut d, 2, 16);
     d.flush_log().unwrap();
-    assert!(d.remote().fault_stats().offloads_dropped > 0);
+    assert!(d.remote().stats().ingest_dropped > 0);
     d.remote_mut().heal();
     // Post-heal traffic stores segments *after* the hole.
     churn(&mut d, 1, 16);
@@ -116,10 +122,10 @@ fn dropped_offloads_surface_as_chain_gap_in_verified_history() {
 
 #[test]
 fn dropped_offloads_fail_rebuild_harvest_not_silently_shorten_it() {
-    let mut d: DropDut = scenario_member(1);
+    let mut d: DropDut = dut(PermissiveTarget::new());
     churn(&mut d, 2, 16);
     d.flush_log().unwrap();
-    d.remote_mut().partition(PartitionMode::DropSilently);
+    d.remote_mut().set_partition(PartitionMode::DropSilently);
     churn(&mut d, 2, 16);
     d.flush_log().unwrap();
     d.remote_mut().heal();
@@ -142,13 +148,13 @@ fn drop_against_strict_store_wedges_visibly_and_count_check_catches_it() {
     // matches), so the device accumulates visible failures — and if the
     // pending tail is eventually shipped nowhere, verified_history's
     // record accounting flags the discrepancy.
-    let mut d: QueueDut = scenario_member(1);
+    let mut d: QueueDut = dut(LoopbackTarget::new());
     churn(&mut d, 2, 16);
     d.flush_log().unwrap();
-    d.remote_mut().partition(PartitionMode::DropSilently);
+    d.remote_mut().set_partition(PartitionMode::DropSilently);
     churn(&mut d, 2, 16);
     d.flush_log().unwrap();
-    let dropped = d.remote().fault_stats().offloads_dropped;
+    let dropped = d.remote().stats().ingest_dropped;
     assert!(dropped > 0);
     d.remote_mut().heal();
     churn(&mut d, 1, 16);

@@ -47,7 +47,9 @@ proptest! {
         };
         let untraced = scenario.run().expect("untraced run");
         let sink = SinkHandle::recording();
-        let traced = scenario.run_traced(sink.clone()).expect("traced run");
+        let traced = scenario
+            .run_on(LinkConfig::ideal(), sink.clone())
+            .expect("traced run");
         prop_assert_eq!(&untraced, &traced, "recording sink perturbed the scorecard");
         prop_assert_eq!(untraced.to_json(), traced.to_json());
         prop_assert!(!sink.take_events().is_empty(), "recording sink saw nothing");
@@ -81,7 +83,7 @@ proptest! {
         // the property is that the observer changes *nothing* — success,
         // scorecard, or the exact failure.
         let untraced = scenario.run();
-        let traced = scenario.run_traced(SinkHandle::recording());
+        let traced = scenario.run_on(topology.link(), SinkHandle::recording());
         match (untraced, traced) {
             (Ok(u), Ok(t)) => {
                 prop_assert_eq!(&u, &t, "sink perturbed the faulted pipeline");
@@ -119,9 +121,11 @@ proptest! {
         } else {
             LinkConfig::datacenter_10g()
         };
-        let untraced = scenario.run_wire(link).expect("untraced wire run");
+        let untraced = scenario
+            .run_on(link, SinkHandle::disabled())
+            .expect("untraced wire run");
         let traced = scenario
-            .run_wire_traced(link, SinkHandle::recording())
+            .run_on(link, SinkHandle::recording())
             .expect("traced wire run");
         prop_assert_eq!(&untraced, &traced, "sink perturbed the wire pipeline");
         prop_assert_eq!(untraced.to_json(), traced.to_json());

@@ -2,9 +2,9 @@
 //! loss, routing offload through the simulated NVMe-oE stack must be
 //! *invisible* — byte-identical durable state, chain records, recovery and
 //! harvest results to the direct `RemoteTarget` path, bare and behind the
-//! `FaultInjector`, and byte-identical scenario scorecards including the
-//! partition cells (whose faults the wire pipeline expresses as link
-//! blackouts and collector drops instead of injected results).
+//! `FaultInjector` — and the scenario matrix, which runs on the wire, must
+//! reproduce a golden file of scorecards byte for byte, partition cells
+//! included (their faults are link blackouts and collector drops).
 //!
 //! This is what licenses the wire model: every nanosecond and every
 //! failure a real link adds is then a *measured departure* from a pinned
@@ -13,7 +13,8 @@
 use proptest::prelude::*;
 use rssd_core::{LoopbackTarget, RebuildImage, RemoteTarget, RssdConfig, RssdDevice, WireRemote};
 use rssd_faults::{
-    ActorKind, FaultInjector, FaultPlan, FaultSchedule, FaultTarget, Scenario, Topology,
+    ActorKind, FaultInjector, FaultPlan, FaultSchedule, FaultTarget, Scenario, ScenarioMatrix,
+    Topology,
 };
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_net::LinkConfig;
@@ -329,38 +330,86 @@ proptest! {
     }
 }
 
-/// Every bare curated cell — including the partition cells whose faults the
-/// wire pipeline expresses as link blackouts (`PartitionQueue`) and
-/// collector drops (`PartitionDrop`) — must score byte-identically over an
-/// ideal link: these are the PR-4 scorecards, reproduced with the faults as
-/// emergent link conditions.
-#[test]
-fn ideal_wire_scorecards_match_fault_pipeline_byte_for_byte() {
-    let cells = [
-        ("hm", ActorKind::None, FaultPlan::None, 11),
-        ("hm", ActorKind::Classic, FaultPlan::None, 12),
-        ("hm", ActorKind::Classic, FaultPlan::PowerCutMidAttack, 13),
-        ("hm", ActorKind::Classic, FaultPlan::PartitionQueue, 14),
-        ("hm", ActorKind::Trim, FaultPlan::PartitionDrop, 15),
+/// Full scorecards pinned before the matrix moved onto the wire, when
+/// partitions were injected results rather than link conditions: every
+/// curated cell, the two shared-uplink cells, and queue, drop and seeded
+/// plans on the multi-queue and array topologies — one
+/// [`Scorecard::to_json`](rssd_faults::Scorecard::to_json) line per cell,
+/// in [`golden_cells`] order.
+const GOLDEN_SCORECARDS: &str = include_str!("golden/scorecards.jsonl");
+
+fn golden_cells() -> Vec<Scenario> {
+    let mq = Topology::MultiQueue {
+        queues: 4,
+        depth: 8,
+    };
+    let array = Topology::Array {
+        shards: 3,
+        stripe_pages: 4,
+    };
+    let uplink = Topology::SharedUplink {
+        shards: 3,
+        stripe_pages: 4,
+    };
+    use ActorKind::{Classic, Timing, Trim};
+    use FaultPlan::{PartitionDrop, PartitionQueue, Seeded};
+    let mut extra = vec![
+        ("mail", Classic, FaultPlan::None, uplink, 20),
+        ("mail", Classic, PartitionQueue, uplink, 21),
     ];
-    for (profile, actor, plan, seed) in cells {
-        let cell = Scenario {
-            profile,
-            actor,
-            plan,
-            topology: Topology::Bare,
-            seed,
-        };
-        let injected = cell.run().expect("fault pipeline");
-        let wired = cell.run_wire(LinkConfig::ideal()).expect("wire pipeline");
-        assert_eq!(
-            injected.to_json(),
-            wired.to_json(),
-            "{}: wire-expressed faults must reproduce the injected scorecard",
-            cell.cell_id()
-        );
-        assert_eq!(injected, wired);
+    for (topology, seed) in [(mq, 40), (array, 50)] {
+        extra.extend([
+            ("hm", Classic, PartitionQueue, topology, seed),
+            ("hm", Trim, PartitionDrop, topology, seed + 1),
+            ("hm", Classic, Seeded { seed: 31 }, topology, seed + 2),
+            ("hm", Timing, Seeded { seed: 33 }, topology, seed + 3),
+        ]);
     }
+    let mut cells = ScenarioMatrix::curated().cells;
+    cells.extend(
+        extra
+            .into_iter()
+            .map(|(profile, actor, plan, topology, seed)| Scenario {
+                profile,
+                actor,
+                plan,
+                topology,
+                seed,
+            }),
+    );
+    cells
+}
+
+/// Runs golden cells `range` and compares each scorecard with its pinned
+/// line, byte for byte.
+fn assert_golden(range: std::ops::Range<usize>) {
+    let golden: Vec<&str> = GOLDEN_SCORECARDS.lines().collect();
+    let cells = golden_cells();
+    assert_eq!(golden.len(), cells.len(), "one golden line per cell");
+    for i in range {
+        let card = cells[i].run().expect("cell runs");
+        assert_eq!(
+            card.to_json(),
+            golden[i],
+            "{}: wire-expressed faults must reproduce the pinned scorecard",
+            cells[i].cell_id()
+        );
+    }
+}
+
+/// The curated matrix — including the partition cells, whose faults are
+/// now link blackouts (`PartitionQueue`) and collector drops
+/// (`PartitionDrop`) over an ideal link — reproduces its pinned scorecards.
+#[test]
+fn curated_cells_reproduce_the_pinned_scorecards() {
+    assert_golden(0..ScenarioMatrix::curated().cells.len());
+}
+
+/// The shared-uplink cells (a real 10 GbE wire) and the queue, drop and
+/// seeded plans on multi-queue and array topologies reproduce theirs.
+#[test]
+fn uplink_mq_and_array_cells_reproduce_the_pinned_scorecards() {
+    assert_golden(ScenarioMatrix::curated().cells.len()..golden_cells().len());
 }
 
 /// The shared-uplink topology: three members funneling into one wire, with

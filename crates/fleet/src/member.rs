@@ -13,8 +13,8 @@ use rssd_compress::shannon_entropy;
 use rssd_core::{OffloadStats, PostAttackAnalyzer, WireRemote};
 use rssd_detect::{Verdict, WriteObservation};
 use rssd_faults::{
-    scenario_member_durable_with, scenario_member_with, FaultEvent, FaultInjector, FaultSchedule,
-    FaultTarget, PartitionMode, PermissiveTarget,
+    scenario_member, FaultEvent, FaultInjector, FaultSchedule, FaultTarget, PartitionMode,
+    PermissiveTarget,
 };
 use rssd_flash::{NandStats, SimClock};
 use rssd_ftl::FtlStats;
@@ -201,12 +201,12 @@ pub fn run_member_instrumented(
     let compromised = config.member_compromised(member);
     let faulted = config.member_faulted(member);
     let degraded = config.member_degraded(member);
-    let build = |device_id: u64, remote: WireRemote<PermissiveTarget>| {
-        if degraded {
-            scenario_member_durable_with(device_id, remote)
-        } else {
-            scenario_member_with(device_id, remote)
-        }
+    let build = |device_id: u64| {
+        scenario_member(
+            device_id,
+            WireRemote::new(PermissiveTarget::new(), config.link),
+            degraded,
+        )
     };
     let sink = if obs.trace {
         SinkHandle::recording().with_track_prefix(&format!("m{member}/"))
@@ -221,10 +221,7 @@ pub fn run_member_instrumented(
 
     let outcome = match kind {
         MemberKind::Bare => {
-            let device = build(
-                member as u64 * DEVICE_ID_STRIDE,
-                WireRemote::new(PermissiveTarget::new(), config.link),
-            );
+            let device = build(member as u64 * DEVICE_ID_STRIDE);
             run_on(
                 config,
                 member,
@@ -244,12 +241,7 @@ pub fn run_member_instrumented(
             stripe_pages,
         } => {
             let members = (0..shards)
-                .map(|s| {
-                    build(
-                        member as u64 * DEVICE_ID_STRIDE + s as u64,
-                        WireRemote::new(PermissiveTarget::new(), config.link),
-                    )
-                })
+                .map(|s| build(member as u64 * DEVICE_ID_STRIDE + s as u64))
                 .collect();
             let array = RssdArray::new(members, stripe_pages, SimClock::new());
             run_on(
@@ -787,6 +779,28 @@ mod tests {
             "every refusal is still reported: {}",
             outcome.scorecard.interruptions
         );
+    }
+
+    #[test]
+    fn degraded_array_member_revives_its_spill_enabled_shards() {
+        // Outage members run on spill-enabled (larger) shards; a dead one
+        // must be rebuilt onto a replacement that exports as many pages.
+        let cfg = FleetConfig {
+            members: 32,
+            seed: 4,
+            array_every: 4,
+            array_shards: 3,
+            fault_fraction: 1.0,
+            outage_fraction: 1.0,
+            compromised_fraction: 0.5,
+            link: rssd_net::LinkConfig::datacenter_10g(),
+            ..FleetConfig::default()
+        };
+        let id = 3;
+        assert!(matches!(cfg.member_kind(id), MemberKind::Array { .. }));
+        assert!(cfg.member_degraded(id));
+        let outcome = run_member(&cfg, id).expect("a durable shard must be revivable");
+        assert!(outcome.scorecard.interruptions > 0, "the shard death fired");
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl RemoteTarget for RemoteLogServer {
             .store
             .get(&Self::segment_key(segment_seq), 0)
             .ok_or(RemoteError::NoSuchSegment(segment_seq))?;
-        SegmentEnvelope::from_wire_bytes(bytes).ok_or(RemoteError::NoSuchSegment(segment_seq))
+        SegmentEnvelope::from_wire_image(bytes).ok_or(RemoteError::NoSuchSegment(segment_seq))
     }
 
     fn stored_segments(&self) -> Vec<u64> {

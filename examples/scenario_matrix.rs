@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // clocks never interleave on one track.
         let cell_sink = sink.with_track_prefix(&format!("{}/", cell.cell_id()));
         let card = cell
-            .run_traced(cell_sink)
+            .run_on(cell.topology.link(), cell_sink)
             .map_err(|e| format!("{}: {e}", cell.cell_id()))?;
         let verdict = match card.verdict {
             Verdict::Benign => "benign",
