@@ -4,8 +4,10 @@
 //! Replays the qd_sweep mixed workload against RSSD at QD32 with a
 //! [`ProfilerHandle`] threaded through the NVMe controller and the device
 //! (phases: `arbitration`, `nand_timing`, `completion_sort`, `stats`,
-//! `wire` with `compress` split out as its own self-time phase, remainder
-//! in `other`) and a recording trace sink attached, then
+//! `wire` with `compress` split out as its own self-time phase, the write
+//! path's per-page kernels `entropy` and `chain_hmac` nested inside
+//! `nand_timing`, remainder in `other`) and a recording trace sink
+//! attached, then
 //! writes the breakdown to `BENCH_profile.json`. Because the profiler does
 //! **self-time** accounting, the per-phase percentages sum to exactly 100 —
 //! asserted here and re-checked from the JSON by the CI regression gate.
@@ -149,6 +151,8 @@ fn print_profile() {
         "stats",
         "wire",
         "compress",
+        "entropy",
+        "chain_hmac",
     ] {
         assert!(
             profile.phase_ns(phase) > 0,

@@ -228,7 +228,7 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, DecompressError> {
     let out = match codec {
         Codec::Store => payload.to_vec(),
         Codec::Rle => rle::decode(payload)?,
-        Codec::Lz77 => lz::decode(payload)?,
+        Codec::Lz77 => lz::decode_sized(payload, expected)?,
     };
     if out.len() != expected {
         return Err(DecompressError::LengthMismatch {

@@ -268,6 +268,67 @@ pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
     }
 }
 
+/// Longest match one sequence can encode: `MIN_MATCH` plus a full nibble
+/// plus one extension byte.
+const MAX_DECODED_MATCH: usize = MIN_MATCH + NIB_EXT + 255;
+
+/// Upper bound on the bytes any `payload_len`-byte payload decodes to. The
+/// densest sequence is a 4-byte token + distance + extension producing a
+/// `MAX_DECODED_MATCH` copy (68.5 bytes out per byte in); literals produce
+/// one byte per byte.
+fn max_decoded_len(payload_len: usize) -> usize {
+    payload_len.saturating_mul(MAX_DECODED_MATCH.div_ceil(4))
+}
+
+/// Output slack the fast path needs: a 14-byte literal run and an 18-byte
+/// match, each rounded up to whole eight-byte strides.
+const FAST_SLACK: usize = 48;
+
+/// Decodes the common sequence — nibble-sized literal run and match, a
+/// match distance of at least eight, well clear of both buffer ends — with
+/// eight-byte wild copies, and returns the payload bytes it consumed after
+/// the token. Returns `None`, touching nothing, for any other sequence;
+/// the general path then decodes (or rejects) it.
+#[inline]
+fn fast_sequence(payload: &[u8], i: usize, token: u8, out: &mut Vec<u8>) -> Option<usize> {
+    let lit_len = (token >> 4) as usize;
+    let match_nib = (token & 0x0F) as usize;
+    // 16 readable bytes cover the literal stride and the distance; the
+    // sequence then cannot be the literal-only terminator.
+    if lit_len >= NIB_EXT
+        || match_nib >= NIB_EXT
+        || payload.len() - i < 16
+        || out.capacity() - out.len() < FAST_SLACK
+    {
+        return None;
+    }
+    let dist = u16::from_le_bytes([payload[i + lit_len], payload[i + lit_len + 1]]) as usize;
+    let produced = out.len() + lit_len;
+    if dist < 8 || dist > produced {
+        return None;
+    }
+    let len = match_nib + MIN_MATCH;
+    // SAFETY: the literal stride reads at most 16 bytes from `i`, checked
+    // above. Writes end at most 14 + 24 bytes past `out.len()`, inside the
+    // FAST_SLACK spare capacity. Each eight-byte match stride reads from
+    // `dist >= 8` bytes behind its destination, so source and destination
+    // never overlap and every byte read is already decoded; `dist <=
+    // produced` keeps the source inside the output.
+    unsafe {
+        let dst = out.as_mut_ptr().add(out.len());
+        wild_copy(dst, payload.as_ptr().add(i), lit_len);
+        let mdst = dst.add(lit_len);
+        let src = mdst.sub(dist);
+        let mut k = 0usize;
+        while k < len {
+            std::ptr::copy_nonoverlapping(src.add(k), mdst.add(k), 8);
+            k += 8;
+        }
+        out.set_len(produced + len);
+    }
+    Some(lit_len + 2)
+}
+
 /// Decodes an LZ77 payload produced by [`encode`].
 ///
 /// # Errors
@@ -275,11 +336,27 @@ pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
 /// Returns [`DecompressError::Corrupt`] on truncated sequences, zero
 /// distances, or back-references past the start of the output.
 pub fn decode(payload: &[u8]) -> Result<Vec<u8>, DecompressError> {
-    let mut out = Vec::with_capacity(payload.len() * 2);
+    decode_sized(payload, payload.len().saturating_mul(2))
+}
+
+/// [`decode`] with the output presized for `declared_len` bytes — the
+/// length a frame header promises. The header is untrusted, so the
+/// reservation is capped at [`max_decoded_len`] of the payload: a frame
+/// claiming `u32::MAX` bytes over a short payload cannot make the decoder
+/// allocate that much. An honest frame decodes without reallocating.
+pub(crate) fn decode_sized(
+    payload: &[u8],
+    declared_len: usize,
+) -> Result<Vec<u8>, DecompressError> {
+    let mut out = Vec::with_capacity(declared_len.min(max_decoded_len(payload.len())));
     let mut i = 0usize;
     while i < payload.len() {
         let token = payload[i];
         i += 1;
+        if let Some(consumed) = fast_sequence(payload, i, token, &mut out) {
+            i += consumed;
+            continue;
+        }
         let mut lit_len = (token >> 4) as usize;
         if lit_len == NIB_EXT {
             loop {
@@ -325,10 +402,17 @@ pub fn decode(payload: &[u8]) -> Result<Vec<u8>, DecompressError> {
         if dist >= len {
             out.extend_from_within(start..start + len);
         } else {
-            // Overlapping copies are the LZ idiom for runs: byte-wise.
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            // Overlapping copy, the LZ idiom for runs: byte k of the match
+            // repeats byte k - dist, so `out[start..]` is periodic with
+            // period `dist`. Copying the whole periodic stretch so far
+            // keeps that phase (each chunk length is a multiple of `dist`
+            // until the last), so the chunks double: log2(len / dist)
+            // bulk copies instead of `len` single-byte pushes.
+            let mut copied = 0usize;
+            while copied < len {
+                let chunk = (dist + copied).min(len - copied);
+                out.extend_from_within(start..start + chunk);
+                copied += chunk;
             }
         }
     }

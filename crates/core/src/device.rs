@@ -4,7 +4,7 @@ use crate::config::RssdConfig;
 use crate::logrec::{LogOp, LogRecord, Segment, SegmentEnvelope, WireError};
 use crate::remote_target::{RemoteError, RemoteTarget};
 use rssd_compress::shannon_entropy;
-use rssd_crypto::{ChainLink, DeviceKeys, Digest, HashChain, KeyPurpose};
+use rssd_crypto::{ChainLink, DeviceKeys, Digest, HashChain, HmacSha256, KeyPurpose};
 use rssd_flash::{FlashGeometry, NandArray, NandTiming, SimClock};
 use rssd_ftl::{Ftl, FtlConfig, FtlError, FtlStats, InvalidateCause};
 use rssd_net::SecureSession;
@@ -295,7 +295,8 @@ pub struct RssdDevice<R: RemoteTarget> {
     last_crash: CrashReport,
     /// Trace sink for offload lifecycle events on the `offload` track.
     sink: SinkHandle,
-    /// Host-side profiler; offload work is charged to the `wire` phase.
+    /// Host-side profiler; offload work is charged to the `wire` phase,
+    /// the write path's per-page kernels to `entropy` and `chain_hmac`.
     profiler: ProfilerHandle,
 }
 
@@ -392,8 +393,10 @@ impl<R: RemoteTarget> RssdDevice<R> {
         self.sink = sink;
     }
 
-    /// Installs a phase profiler: segment sealing, compression and wire
-    /// transfer time is charged to the `wire` phase.
+    /// Installs a phase profiler: segment sealing and wire transfer time is
+    /// charged to the `wire` phase, with `compress` nested inside it; each
+    /// written page's entropy score is charged to `entropy` and each
+    /// evidence-chain append to `chain_hmac`.
     pub fn set_profiler(&mut self, profiler: ProfilerHandle) {
         self.profiler = profiler;
     }
@@ -509,7 +512,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         let mut records = 0u64;
         let mut versions = 0u64;
         let head = crate::rebuild::walk_verified_segments(
-            &chain_key,
+            &HmacSha256::new(&chain_key),
             &self.session,
             &mut self.remote,
             |segment_seq, record| {
@@ -780,10 +783,10 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// a non-verifying history means tampering, remote corruption, or lost
     /// acknowledged offloads, and is itself forensic signal.
     pub fn verified_history(&mut self) -> Result<Vec<LogRecord>, String> {
-        let chain_key = self.keys.derive(KeyPurpose::EvidenceChain, 0);
+        let chain_mac = HmacSha256::new(&self.keys.derive(KeyPurpose::EvidenceChain, 0));
         let mut out = Vec::new();
         let mut head = crate::rebuild::walk_verified_segments(
-            &chain_key,
+            &chain_mac,
             &self.session,
             &mut self.remote,
             |_seq, record| out.push(record),
@@ -792,7 +795,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         let mut staged_records = 0usize;
         for seg in &self.staged {
             let inputs: Vec<Vec<u8>> = seg.records.iter().map(|r| r.chain_bytes()).collect();
-            HashChain::verify_from(&chain_key, head, &inputs, &seg.links).map_err(|e| {
+            HashChain::verify_from(&chain_mac, head, &inputs, &seg.links).map_err(|e| {
                 format!(
                     "chain gap: staged segment {} does not extend the verified \
                      prefix ({e}) — acknowledged offloads were lost upstream \
@@ -805,7 +808,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         }
         // Pending tail.
         let inputs: Vec<Vec<u8>> = self.pending.iter().map(|r| r.chain_bytes()).collect();
-        HashChain::verify_from(&chain_key, head, &inputs, &self.pending_links)
+        HashChain::verify_from(&chain_mac, head, &inputs, &self.pending_links)
             .map_err(|e| format!("pending tail: {e}"))?;
         // The accounting check compares against the in-RAM chain length,
         // which is stale (it still counts the lost volatile tail) while the
@@ -837,10 +840,10 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// crashed the accounting check is skipped (the in-RAM chain length is
     /// stale).
     pub fn audit_history(&mut self) -> HistoryAudit {
-        let chain_key = self.keys.derive(KeyPurpose::EvidenceChain, 0);
+        let chain_mac = HmacSha256::new(&self.keys.derive(KeyPurpose::EvidenceChain, 0));
         let mut records: Vec<LogRecord> = Vec::new();
         let (mut head, mut failure) = crate::rebuild::walk_segments_tolerant(
-            &chain_key,
+            &chain_mac,
             &self.session,
             &mut self.remote,
             |_seq, record| records.push(record),
@@ -848,7 +851,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         if failure.is_none() {
             for seg in &self.staged {
                 let inputs: Vec<Vec<u8>> = seg.records.iter().map(|r| r.chain_bytes()).collect();
-                match HashChain::verify_from(&chain_key, head, &inputs, &seg.links) {
+                match HashChain::verify_from(&chain_mac, head, &inputs, &seg.links) {
                     Ok(()) => {
                         head = seg.envelope.chain_head();
                         records.extend(seg.records.iter().cloned());
@@ -866,7 +869,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         }
         if failure.is_none() {
             let inputs: Vec<Vec<u8>> = self.pending.iter().map(|r| r.chain_bytes()).collect();
-            match HashChain::verify_from(&chain_key, head, &inputs, &self.pending_links) {
+            match HashChain::verify_from(&chain_mac, head, &inputs, &self.pending_links) {
                 Ok(()) => records.extend(self.pending.iter().cloned()),
                 Err(e) => failure = Some(format!("pending tail: {e}")),
             }
@@ -1025,7 +1028,9 @@ impl<R: RemoteTarget> RssdDevice<R> {
             read_before,
             old_data: None,
         };
+        self.profiler.enter("chain_hmac");
         let link = self.chain.append(&record.chain_bytes());
+        self.profiler.exit();
         if old_page_index.is_some() {
             self.pending_retained += 1;
         }
@@ -1391,7 +1396,9 @@ impl<R: RemoteTarget> RssdDevice<R> {
             _ => {}
         }
         let start = self.ftl.clock().now_ns();
+        self.profiler.enter("entropy");
         let entropy_mil = (shannon_entropy(&data) * 1000.0) as u16;
+        self.profiler.exit();
         let read_before = self.read_before(lpa, start);
 
         let mut sync_tried = 0u32;
@@ -1641,6 +1648,32 @@ mod tests {
         let mut d = device();
         d.write_page(0, page(1)).unwrap();
         assert_eq!(d.read_page(0).unwrap(), page(1));
+    }
+
+    #[test]
+    fn profiler_names_the_write_path_kernels_and_stays_inert() {
+        let run = |profiler: ProfilerHandle| {
+            let mut d = device();
+            d.set_profiler(profiler.clone());
+            for round in 0..3u8 {
+                for lpa in 0..16 {
+                    d.write_page(lpa, page(round.wrapping_mul(31) ^ lpa as u8))
+                        .unwrap();
+                }
+            }
+            d.flush_log().unwrap();
+            (d.chain.head(), profiler.finish())
+        };
+        let (bare_head, _) = run(ProfilerHandle::disabled());
+        let (head, profile) = run(ProfilerHandle::enabled());
+        assert_eq!(head, bare_head, "profiling changed the evidence chain");
+        for phase in ["entropy", "chain_hmac", "wire", "compress"] {
+            assert!(profile.phase_ns(phase) > 0, "phase {phase} never accrued");
+        }
+        assert_eq!(
+            profile.iter().map(|(_, ns)| ns).sum::<u64>(),
+            profile.total_ns
+        );
     }
 
     #[test]

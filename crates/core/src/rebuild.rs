@@ -28,26 +28,27 @@
 use crate::device::open_envelope;
 use crate::logrec::{LogOp, LogRecord};
 use crate::remote_target::RemoteTarget;
-use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
+use rssd_crypto::{DeviceKeys, Digest, HashChain, HmacSha256, KeyPurpose};
 use rssd_net::SecureSession;
 use std::collections::HashMap;
 
 /// Walks every segment stored on `remote` in chain order, verifying
 /// continuity and per-record HMAC links, and hands each decoded record
 /// (with the sequence of the segment that carried it) to `sink`. Returns
-/// the verified chain head. Shared by
+/// the verified chain head. `chain_mac` is the evidence-chain key's HMAC
+/// keyed state, built once by the caller for the whole walk. Shared by
 /// [`RssdDevice::verified_history`](crate::RssdDevice::verified_history)
 /// (which appends its pending tail afterwards),
 /// [`RssdDevice::recover`](crate::RssdDevice::recover) (which rebuilds the
 /// crashed controller's remote version index) and
 /// [`RebuildImage::harvest`] (which has no device left to ask).
 pub(crate) fn walk_verified_segments<R: RemoteTarget>(
-    chain_key: &[u8],
+    chain_mac: &HmacSha256,
     session: &SecureSession,
     remote: &mut R,
     sink: impl FnMut(u64, LogRecord),
 ) -> Result<Digest, String> {
-    match walk_segments_tolerant(chain_key, session, remote, sink) {
+    match walk_segments_tolerant(chain_mac, session, remote, sink) {
         (head, None) => Ok(head),
         (_, Some(failure)) => Err(failure),
     }
@@ -61,7 +62,7 @@ pub(crate) fn walk_verified_segments<R: RemoteTarget>(
 /// [`RssdDevice::audit_history`](crate::RssdDevice::audit_history), which
 /// must keep the verified prefix as evidence while reporting the gap.
 pub(crate) fn walk_segments_tolerant<R: RemoteTarget>(
-    chain_key: &[u8],
+    chain_mac: &HmacSha256,
     session: &SecureSession,
     remote: &mut R,
     mut sink: impl FnMut(u64, LogRecord),
@@ -83,7 +84,7 @@ pub(crate) fn walk_segments_tolerant<R: RemoteTarget>(
             );
         }
         let inputs: Vec<Vec<u8>> = segment.records.iter().map(|r| r.chain_bytes()).collect();
-        if let Err(e) = HashChain::verify_from(chain_key, head, &inputs, &segment.links) {
+        if let Err(e) = HashChain::verify_from(chain_mac, head, &inputs, &segment.links) {
             return (head, Some(format!("segment {seq}: {e}")));
         }
         head = envelope.chain_head();
@@ -154,7 +155,7 @@ impl RebuildImage {
     /// that does not verify means remote tampering, and rebuilding from it
     /// would launder the tamper into "recovered" data.
     pub fn harvest<R: RemoteTarget>(keys: &DeviceKeys, remote: &mut R) -> Result<Self, String> {
-        let chain_key = keys.derive(KeyPurpose::EvidenceChain, 0);
+        let chain_mac = HmacSha256::new(&keys.derive(KeyPurpose::EvidenceChain, 0));
         let session = SecureSession::new(keys, 0);
         let mut versions: HashMap<u64, Vec<HarvestedVersion>> = HashMap::new();
         let mut report = HarvestReport::default();
@@ -164,7 +165,7 @@ impl RebuildImage {
         // (Offloaded history is a prefix of the log, so the creating write
         // is always in the prefix when its invalidation is.)
         let mut content_written_at: HashMap<u64, u64> = HashMap::new();
-        walk_verified_segments(&chain_key, &session, remote, |_seq, record| {
+        walk_verified_segments(&chain_mac, &session, remote, |_seq, record| {
             report.records += 1;
             if let Some(data) = &record.old_data {
                 report.versions += 1;

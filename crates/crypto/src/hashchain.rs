@@ -12,6 +12,11 @@
 //! A verifier holding `k` and the ordered records can recompute the chain and
 //! detect any insertion, deletion, reordering, or mutation — which is what
 //! makes the reconstructed I/O history admissible for forensics.
+//!
+//! `k` is expanded into an HMAC keyed state once per chain (or once per
+//! verification pass), and every link clones that state: a link costs the
+//! compressions of `prev_tag || record` and the outer digest, not the two
+//! key blocks an HMAC would rebuild from the raw key.
 
 use crate::hmac::HmacSha256;
 use crate::sha256::Digest;
@@ -78,7 +83,7 @@ impl std::error::Error for ChainVerifyError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct HashChain {
-    key: Vec<u8>,
+    mac: HmacSha256,
     head: Digest,
     next_seq: u64,
 }
@@ -87,7 +92,7 @@ impl HashChain {
     /// Creates an empty chain keyed with `key`, with the all-zero genesis tag.
     pub fn new(key: &[u8]) -> Self {
         HashChain {
-            key: key.to_vec(),
+            mac: HmacSha256::new(key),
             head: Digest::ZERO,
             next_seq: 0,
         }
@@ -97,7 +102,7 @@ impl HashChain {
     /// earlier links have been offloaded remotely).
     pub fn resume(key: &[u8], head: Digest, next_seq: u64) -> Self {
         HashChain {
-            key: key.to_vec(),
+            mac: HmacSha256::new(key),
             head,
             next_seq,
         }
@@ -105,7 +110,7 @@ impl HashChain {
 
     /// Appends a record, returning the new link.
     pub fn append(&mut self, record: &[u8]) -> ChainLink {
-        let tag = Self::link_tag(&self.key, &self.head, record);
+        let tag = Self::link_tag(&self.mac, &self.head, record);
         let link = ChainLink {
             seq: self.next_seq,
             tag,
@@ -136,9 +141,11 @@ impl HashChain {
         self.next_seq == 0
     }
 
-    /// Computes a single link tag.
-    pub fn link_tag(key: &[u8], prev: &Digest, record: &[u8]) -> Digest {
-        let mut mac = HmacSha256::new(key);
+    /// Computes a single link tag, `HMAC(k, prev || record)`, from the
+    /// keyed state `keyed` (an [`HmacSha256::new`]`(k)` that has absorbed
+    /// no message).
+    pub fn link_tag(keyed: &HmacSha256, prev: &Digest, record: &[u8]) -> Digest {
+        let mut mac = keyed.clone();
         mac.update(prev.as_bytes());
         mac.update(record);
         mac.finalize()
@@ -156,18 +163,20 @@ impl HashChain {
         records: &[R],
         links: &[ChainLink],
     ) -> Result<(), ChainVerifyError> {
-        Self::verify_from(key, Digest::ZERO, records, links)
+        Self::verify_from(&HmacSha256::new(key), Digest::ZERO, records, links)
     }
 
     /// Verifies a chain continuation starting from an arbitrary prior head
     /// (used for verifying one offloaded segment against the previous
-    /// segment's final tag).
+    /// segment's final tag). `keyed` is the chain key's HMAC keyed state
+    /// ([`HmacSha256::new`]`(k)`), so a verifier walking many segments keys
+    /// once for all of them.
     ///
     /// # Errors
     ///
     /// Same as [`Self::verify_sequence`].
     pub fn verify_from<R: AsRef<[u8]>>(
-        key: &[u8],
+        keyed: &HmacSha256,
         mut head: Digest,
         records: &[R],
         links: &[ChainLink],
@@ -179,7 +188,7 @@ impl HashChain {
             });
         }
         for (record, link) in records.iter().zip(links) {
-            let expected = Self::link_tag(key, &head, record.as_ref());
+            let expected = Self::link_tag(keyed, &head, record.as_ref());
             if expected != link.tag {
                 return Err(ChainVerifyError::TagMismatch { seq: link.seq });
             }
@@ -284,7 +293,8 @@ mod tests {
 
         // Segment verification from the prior head.
         let records: Vec<&[u8]> = vec![b"b"];
-        assert!(HashChain::verify_from(b"k", l0.tag, &records, &[l1]).is_ok());
+        let keyed = HmacSha256::new(b"k");
+        assert!(HashChain::verify_from(&keyed, l0.tag, &records, &[l1]).is_ok());
     }
 
     #[test]

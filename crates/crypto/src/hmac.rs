@@ -9,6 +9,12 @@ const BLOCK_SIZE: usize = 64;
 
 /// Incremental HMAC-SHA-256.
 ///
+/// A context holds both keyed hash states: the inner one after absorbing
+/// `key ^ ipad` and the outer one after absorbing `key ^ opad`. A fresh
+/// context is therefore a reusable *keyed state* — clone it per message
+/// (as [`crate::hashchain::HashChain`] does per record) and each MAC costs
+/// only the message and finalisation blocks, never the two key blocks.
+///
 /// # Examples
 ///
 /// ```
@@ -17,11 +23,23 @@ const BLOCK_SIZE: usize = 64;
 /// let tag = HmacSha256::mac(b"key", b"message");
 /// assert!(HmacSha256::verify(b"key", b"message", &tag));
 /// assert!(!HmacSha256::verify(b"key", b"tampered", &tag));
+///
+/// let keyed = HmacSha256::new(b"key");
+/// let mut mac = keyed.clone();
+/// mac.update(b"message");
+/// assert_eq!(mac.finalize(), tag);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_SIZE],
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The keyed states are key material.
+        f.write_str("HmacSha256 { <keyed> }")
+    }
 }
 
 impl HmacSha256 {
@@ -42,10 +60,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Feeds message bytes.
@@ -56,8 +73,7 @@ impl HmacSha256 {
     /// Finalizes and returns the 32-byte tag.
     pub fn finalize(self) -> Digest {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(inner_digest.as_bytes());
         outer.finalize()
     }
@@ -158,6 +174,14 @@ mod tests {
         h.update(b"part one ");
         h.update(b"part two");
         assert_eq!(h.finalize(), HmacSha256::mac(b"key", b"part one part two"));
+    }
+
+    #[test]
+    fn debug_never_leaks_key_material() {
+        assert_eq!(
+            format!("{:?}", HmacSha256::new(b"key")),
+            "HmacSha256 { <keyed> }"
+        );
     }
 
     #[test]

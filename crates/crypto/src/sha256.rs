@@ -176,16 +176,17 @@ impl Sha256 {
 
     /// Consumes the hasher and returns the final digest.
     pub fn finalize(mut self) -> Digest {
+        // Padding: the buffered tail, 0x80, zeros, then the 64-bit
+        // big-endian bit length — one block, or two when fewer than nine
+        // bytes of the first remain — compressed in a single call.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0u8]);
-        }
-        // Manual length append: bypass update's total_len accounting.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress_blocks(&block);
+        let used = self.buffer_len;
+        let mut tail = [0u8; 128];
+        tail[..used].copy_from_slice(&self.buffer[..used]);
+        tail[used] = 0x80;
+        let tail_len = if used < 56 { 64 } else { 128 };
+        tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress_blocks(&tail[..tail_len]);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {

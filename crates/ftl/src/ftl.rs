@@ -530,12 +530,21 @@ impl Ftl {
             if magic != SPILL_MAGIC {
                 break;
             }
-            let len =
-                u64::from_le_bytes(head[8..16].try_into().expect("page >= 16 bytes")) as usize;
-            let pages_needed = (SPILL_HEADER_BYTES + len).div_ceil(page_size) as u64;
-            if cursor + pages_needed > capacity_pages {
+            // The length is read back from flash, so it is untrusted: a
+            // torn or corrupt header that overflows or overruns the region
+            // ends the scan like a bad magic does.
+            let len = u64::from_le_bytes(head[8..16].try_into().expect("page >= 16 bytes"));
+            let Some(pages_needed) = len
+                .checked_add(SPILL_HEADER_BYTES as u64)
+                .map(|total| total.div_ceil(page_size as u64))
+            else {
+                break;
+            };
+            if pages_needed > capacity_pages - cursor {
                 break;
             }
+            // Fits in the region, so it fits in memory.
+            let len = len as usize;
             let mut image = head;
             for i in 1..pages_needed {
                 let (data, _) = self.nand.read_background(self.spill_ppa(cursor + i))?;
@@ -1033,6 +1042,35 @@ mod tests {
         assert_eq!(ftl.spill_append(&oversized), Err(FtlError::DeviceFull));
         assert_eq!(ftl.spill_used_bytes(), 0);
         assert!(ftl.spill_scan().unwrap().is_empty());
+    }
+
+    #[test]
+    fn spill_scan_stops_at_a_corrupt_length() {
+        let entry = vec![0x5Au8; 300];
+        let page_size = spill_ftl().geometry().page_size;
+        let region_bytes = spill_ftl().spill_capacity_bytes();
+        // One intact entry, then a head page written straight to NAND whose
+        // length overflows the header arithmetic or overruns the region.
+        for len in [u64::MAX, u64::MAX - 8, 1 << 62, region_bytes] {
+            let mut ftl = spill_ftl();
+            ftl.spill_append(&entry).unwrap();
+            let mut head = vec![0u8; page_size];
+            head[..8].copy_from_slice(&SPILL_MAGIC.to_le_bytes());
+            head[8..16].copy_from_slice(&len.to_le_bytes());
+            let oob = PageOob {
+                lpa: u64::MAX,
+                timestamp_ns: 0,
+                seq: 0,
+            };
+            let ppa = ftl.spill_ppa(1);
+            ftl.nand.program(ppa, head, oob).unwrap();
+            assert_eq!(
+                ftl.spill_scan().unwrap(),
+                vec![entry.clone()],
+                "len {len:#x}"
+            );
+            assert_eq!(ftl.spill_used_bytes(), page_size as u64, "len {len:#x}");
+        }
     }
 
     #[test]

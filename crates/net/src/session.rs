@@ -47,7 +47,9 @@ impl std::error::Error for SessionError {}
 #[derive(Clone)]
 pub struct SecureSession {
     enc_key: [u8; 32],
-    mac_key: [u8; 32],
+    /// HMAC keyed state for the segment-authentication key, built once:
+    /// every seal and open clones it instead of re-keying.
+    mac: HmacSha256,
     keys: DeviceKeys,
     enc_id: KeyId,
 }
@@ -74,7 +76,7 @@ impl SecureSession {
         };
         SecureSession {
             enc_key: keys.derive_id(enc_id),
-            mac_key: keys.derive_id(mac_id),
+            mac: HmacSha256::new(&keys.derive_id(mac_id)),
             keys: keys.clone(),
             enc_id,
         }
@@ -106,7 +108,7 @@ impl SecureSession {
         let nonce = self.keys.segment_nonce(self.enc_id, segment_seq);
         buf.reserve(TAG_LEN);
         ChaCha20::new(&self.enc_key, &nonce).apply_keystream(&mut buf[from..]);
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         mac.update(&segment_seq.to_le_bytes());
         mac.update(&buf[from..]);
         buf.extend_from_slice(mac.finalize().as_bytes());
@@ -124,7 +126,7 @@ impl SecureSession {
             return Err(SessionError::Truncated);
         }
         let (ciphertext, tag_bytes) = sealed.split_at(sealed.len() - TAG_LEN);
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         mac.update(&segment_seq.to_le_bytes());
         mac.update(ciphertext);
         let expected = mac.finalize();
@@ -229,6 +231,23 @@ mod tests {
         assert_eq!(&buf[..11], b"HEADERBYTES", "prefix untouched");
         assert_eq!(&buf[11..], &s.seal(7, b"retained pages")[..]);
         assert_eq!(s.open(7, &buf[11..]).unwrap(), b"retained pages");
+    }
+
+    #[test]
+    fn tag_is_hmac_over_seq_and_ciphertext_for_every_seal() {
+        // One keyed state serves every seal; each tag must still equal a
+        // freshly keyed HMAC under the segment-authentication key.
+        let keys = DeviceKeys::for_simulation(1);
+        let mac_key = keys.derive(KeyPurpose::SegmentAuthentication, 0);
+        let s = session();
+        for seq in 0..4u64 {
+            let sealed = s.seal(seq, &vec![seq as u8; 100 * seq as usize]);
+            let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+            let mut msg = seq.to_le_bytes().to_vec();
+            msg.extend_from_slice(ciphertext);
+            assert_eq!(tag, HmacSha256::mac(&mac_key, &msg).as_bytes());
+            assert!(s.open(seq, &sealed).is_ok());
+        }
     }
 
     #[test]
