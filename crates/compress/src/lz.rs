@@ -280,55 +280,6 @@ fn max_decoded_len(payload_len: usize) -> usize {
     payload_len.saturating_mul(MAX_DECODED_MATCH.div_ceil(4))
 }
 
-/// Output slack the fast path needs: a 14-byte literal run and an 18-byte
-/// match, each rounded up to whole eight-byte strides.
-const FAST_SLACK: usize = 48;
-
-/// Decodes the common sequence — nibble-sized literal run and match, a
-/// match distance of at least eight, well clear of both buffer ends — with
-/// eight-byte wild copies, and returns the payload bytes it consumed after
-/// the token. Returns `None`, touching nothing, for any other sequence;
-/// the general path then decodes (or rejects) it.
-#[inline]
-fn fast_sequence(payload: &[u8], i: usize, token: u8, out: &mut Vec<u8>) -> Option<usize> {
-    let lit_len = (token >> 4) as usize;
-    let match_nib = (token & 0x0F) as usize;
-    // 16 readable bytes cover the literal stride and the distance; the
-    // sequence then cannot be the literal-only terminator.
-    if lit_len >= NIB_EXT
-        || match_nib >= NIB_EXT
-        || payload.len() - i < 16
-        || out.capacity() - out.len() < FAST_SLACK
-    {
-        return None;
-    }
-    let dist = u16::from_le_bytes([payload[i + lit_len], payload[i + lit_len + 1]]) as usize;
-    let produced = out.len() + lit_len;
-    if dist < 8 || dist > produced {
-        return None;
-    }
-    let len = match_nib + MIN_MATCH;
-    // SAFETY: the literal stride reads at most 16 bytes from `i`, checked
-    // above. Writes end at most 14 + 24 bytes past `out.len()`, inside the
-    // FAST_SLACK spare capacity. Each eight-byte match stride reads from
-    // `dist >= 8` bytes behind its destination, so source and destination
-    // never overlap and every byte read is already decoded; `dist <=
-    // produced` keeps the source inside the output.
-    unsafe {
-        let dst = out.as_mut_ptr().add(out.len());
-        wild_copy(dst, payload.as_ptr().add(i), lit_len);
-        let mdst = dst.add(lit_len);
-        let src = mdst.sub(dist);
-        let mut k = 0usize;
-        while k < len {
-            std::ptr::copy_nonoverlapping(src.add(k), mdst.add(k), 8);
-            k += 8;
-        }
-        out.set_len(produced + len);
-    }
-    Some(lit_len + 2)
-}
-
 /// Decodes an LZ77 payload produced by [`encode`].
 ///
 /// # Errors
@@ -353,10 +304,6 @@ pub(crate) fn decode_sized(
     while i < payload.len() {
         let token = payload[i];
         i += 1;
-        if let Some(consumed) = fast_sequence(payload, i, token, &mut out) {
-            i += consumed;
-            continue;
-        }
         let mut lit_len = (token >> 4) as usize;
         if lit_len == NIB_EXT {
             loop {

@@ -520,7 +520,7 @@ impl Ftl {
             self.spill_blocks.len() as u64 * u64::from(self.geometry.pages_per_block);
         let mut entries = Vec::new();
         let mut cursor = 0u64;
-        while cursor < capacity_pages {
+        'scan: while cursor < capacity_pages {
             let head_ppa = self.spill_ppa(cursor);
             if self.nand.peek_oob(head_ppa)?.is_none() {
                 break;
@@ -531,8 +531,9 @@ impl Ftl {
                 break;
             }
             // The length is read back from flash, so it is untrusted: a
-            // torn or corrupt header that overflows or overruns the region
-            // ends the scan like a bad magic does.
+            // torn or corrupt header that overflows or overruns the region,
+            // or that covers pages never programmed, ends the scan like a
+            // bad magic does.
             let len = u64::from_le_bytes(head[8..16].try_into().expect("page >= 16 bytes"));
             let Some(pages_needed) = len
                 .checked_add(SPILL_HEADER_BYTES as u64)
@@ -547,7 +548,11 @@ impl Ftl {
             let len = len as usize;
             let mut image = head;
             for i in 1..pages_needed {
-                let (data, _) = self.nand.read_background(self.spill_ppa(cursor + i))?;
+                let ppa = self.spill_ppa(cursor + i);
+                if self.nand.peek_oob(ppa)?.is_none() {
+                    break 'scan;
+                }
+                let (data, _) = self.nand.read_background(ppa)?;
                 image.extend_from_slice(&data);
             }
             entries.push(image[SPILL_HEADER_BYTES..SPILL_HEADER_BYTES + len].to_vec());
@@ -1050,8 +1055,17 @@ mod tests {
         let page_size = spill_ftl().geometry().page_size;
         let region_bytes = spill_ftl().spill_capacity_bytes();
         // One intact entry, then a head page written straight to NAND whose
-        // length overflows the header arithmetic or overruns the region.
-        for len in [u64::MAX, u64::MAX - 8, 1 << 62, region_bytes] {
+        // length overflows the header arithmetic, overruns the region, or
+        // spans two or three pages when only the head was programmed.
+        let torn = [2, 3].map(|pages| (pages * page_size - SPILL_HEADER_BYTES) as u64);
+        for len in [
+            u64::MAX,
+            u64::MAX - 8,
+            1 << 62,
+            region_bytes,
+            torn[0],
+            torn[1],
+        ] {
             let mut ftl = spill_ftl();
             ftl.spill_append(&entry).unwrap();
             let mut head = vec![0u8; page_size];
